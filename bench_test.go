@@ -244,7 +244,7 @@ func BenchmarkEvaluator(b *testing.B) {
 	b.Run("indexed", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if got := len(eval.RuleOutputs(rule, traffic.Input)); got != 2 {
+			if got := eval.RuleOutputIDs(rule, traffic.Input).Len(); got != 2 {
 				b.Fatalf("outputs = %d", got)
 			}
 		}
@@ -324,7 +324,7 @@ func BenchmarkEvaluatorScale(b *testing.B) {
 		b.Run(fmt.Sprintf("indexed/streets=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				eval.RuleOutputs(rule, tk.Input)
+				eval.RuleOutputIDs(rule, tk.Input)
 			}
 		})
 		b.Run(fmt.Sprintf("naive/streets=%d", n), func(b *testing.B) {

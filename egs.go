@@ -470,11 +470,12 @@ func (q *Query) NumLiterals() int { return q.ucq.Size() }
 // Eval runs the query over the task it was synthesized from and
 // returns the derived tuples, each rendered as relation(c1, ..., ck).
 func (q *Query) Eval(t *Task) []string {
-	outs := eval.UCQOutputs(q.ucq, t.t.Input)
+	db := t.t.Input
 	var res []string
-	for _, tu := range outs {
-		res = append(res, tu.String(t.t.Schema, t.t.Domain))
-	}
+	eval.UCQOutputIDs(q.ucq, db).Iterate(func(id relation.TupleID) bool {
+		res = append(res, db.TupleByID(id).String(t.t.Schema, t.t.Domain))
+		return true
+	})
 	sort.Strings(res)
 	return res
 }

@@ -71,17 +71,18 @@ func TestLearnConvergesOnTraffic(t *testing.T) {
 	}
 	// The final query must respect the ground truth on the training
 	// input: it derives Broadway and Whitehall and no other street.
-	outs := eval.UCQOutputs(res.Query, tk.Input)
+	outs := eval.UCQOutputIDs(res.Query, tk.Input)
 	oracle := groundTruth(t, tk)
-	for _, tu := range outs {
-		if !oracle(tu) {
+	outs.Iterate(func(id relation.TupleID) bool {
+		if tu := tk.Input.TupleByID(id); !oracle(tu) {
 			t.Errorf("final query derives %s, which the oracle rejects",
 				tu.String(tk.Schema, tk.Domain))
 		}
-	}
+		return true
+	})
 	whitehall, _ := tk.Domain.Lookup("Whitehall")
 	crashes, _ := tk.Schema.Lookup("Crashes")
-	if _, ok := outs[relation.NewTuple(crashes, whitehall).Key()]; !ok {
+	if !outs.Has(tk.Input.InternTuple(relation.NewTuple(crashes, whitehall))) {
 		t.Error("final query misses Crashes(Whitehall)")
 	}
 	if res.Rounds == 0 {
@@ -144,9 +145,9 @@ func TestLearnAdversarialOracleMayGoUnsat(t *testing.T) {
 		// unrealizable if Whitehall becomes indistinguishable.
 		return
 	}
-	outs := eval.UCQOutputs(res.Query, tk.Input)
+	outs := eval.UCQOutputIDs(res.Query, tk.Input)
 	for _, l := range res.Labels {
-		_, derived := outs[l.Tuple.Key()]
+		derived := outs.Has(tk.Input.InternTuple(l.Tuple))
 		if l.Positive && !derived {
 			t.Errorf("positive label %s not derived", l.Tuple.String(tk.Schema, tk.Domain))
 		}

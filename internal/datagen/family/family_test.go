@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/egs-synthesis/egs/internal/eval"
+	"github.com/egs-synthesis/egs/internal/relation"
 	"github.com/egs-synthesis/egs/internal/task"
 )
 
@@ -82,9 +83,10 @@ func TestGridConsistency(t *testing.T) {
 			batch := make(map[string]bool)
 			restore := eval.ForceStrategy(eval.StrategyBatch)
 			for _, rule := range tk.Intended().Rules {
-				for _, tup := range eval.RuleOutputs(rule, tk.Input) {
-					batch[tup.String(tk.Schema, tk.Domain)] = true
-				}
+				eval.RuleOutputIDs(rule, tk.Input).Iterate(func(id relation.TupleID) bool {
+					batch[tk.Input.TupleByID(id).String(tk.Schema, tk.Domain)] = true
+					return true
+				})
 			}
 			restore()
 

@@ -66,25 +66,74 @@ type assessor struct {
 // Section 4.3 priority). A context whose head constants are missing
 // from C is inadmissible: never consistent and of minimal priority.
 // assess is safe for concurrent use; the only shared mutations are the
-// memo (locked) and Database.InternTuple (lock-free once frozen).
+// memo and Database.InternTuple, both locked.
 func (a *assessor) assess(c *ectx, p *cellParams) {
-	rule, ok := generalize(a.ex.DB, c.ids, p.target, p.i)
+	sl := assessSlot{c: c}
+	a.prepare(&sl, p)
+	if sl.state == slotMiss {
+		a.evaluate(&sl, p)
+	}
+	sl.finish(p)
+}
+
+// slotState records how far an assessment got before evaluation.
+type slotState uint8
+
+const (
+	slotMiss         slotState = iota // memo miss: the rule must be evaluated
+	slotHit                           // answered from the memo
+	slotInadmissible                  // head constants missing from C
+	slotDup                           // same key as an earlier miss of its batch
+)
+
+// assessSlot carries one context's assessment through its stages:
+// prepare (generalize, canonical key, memo lookup), evaluate (misses
+// only), and finish. A parallel batch runs the first two stages on the
+// pool; see searcher.assessBatch.
+type assessSlot struct {
+	c       *ectx
+	rule    query.Rule
+	key     string
+	derived int
+	state   slotState
+	first   int // slotDup: index of the batch's first miss with this key
+}
+
+// prepare generalizes the context, computes its canonical key, and
+// consults the memo.
+func (a *assessor) prepare(sl *assessSlot, p *cellParams) {
+	rule, ok := generalize(a.ex.DB, sl.c.ids, p.target, p.i)
 	if !ok {
+		sl.state = slotInadmissible
+		return
+	}
+	sl.rule, sl.key = rule, rule.CanonicalKey()
+	derived, hit := a.memo.lookup(sl.key, &sl.rule, a.ex)
+	if hit {
+		sl.state, sl.derived = slotHit, derived
+	} else {
+		sl.state = slotMiss
+	}
+}
+
+// evaluate runs a missed rule and stores the result in the memo.
+func (a *assessor) evaluate(sl *assessSlot, p *cellParams) {
+	var outs []relation.TupleID
+	sl.derived, outs = forbiddenDerived(a.ex, sl.rule, p.i, len(p.target.Args))
+	sl.c.evals = 1
+	a.memo.store(sl.key, &sl.rule, sl.derived, outs)
+}
+
+// finish fills the context's verdict and score from the slot.
+func (sl *assessSlot) finish(p *cellParams) {
+	c := sl.c
+	if sl.state == slotInadmissible {
 		c.consistent, c.score = false, math.Inf(-1)
 		return
 	}
-	key := rule.CanonicalKey()
-	derived, hit := a.memo.lookup(key, &rule, a.ex)
-	if hit {
-		c.memoHit = true
-	} else {
-		var outs []relation.TupleID
-		derived, outs = forbiddenDerived(a.ex, rule, p.i, len(p.target.Args))
-		c.evals = 1
-		a.memo.store(key, &rule, derived, outs)
-	}
-	c.consistent = derived == 0
-	c.score = p.score(derived, len(c.ids))
+	c.memoHit = sl.state != slotMiss
+	c.consistent = sl.derived == 0
+	c.score = p.score(sl.derived, len(c.ids))
 }
 
 // forbiddenDerived counts the i-slices derived by rule that lie in
@@ -114,10 +163,10 @@ func forbiddenDerived(ex *task.Example, rule query.Rule, i, k int) (int, []relat
 		})
 		return derived, outs
 	}
-	// Proper slices are not ground tuples and have no TupleID;
-	// their forbidden sets stay keyed by slice prefix.
+	// A proper slice rule derives the i-slices themselves; they are
+	// looked up in the example's slice index, never interned.
 	eval.EvalRule(rule, ex.DB, func(t relation.Tuple) bool {
-		if ex.ForbiddenPrefixKey(t.Key(), i) {
+		if ex.ForbiddenPrefix(t) {
 			derived++
 		}
 		return true

@@ -43,9 +43,10 @@ type Options struct {
 	// assignment stay sequential in generation order, assessment
 	// results are pure functions of the context, and results enter
 	// the queue in generation order, so the worklist's total order
-	// (score, size, seq) is unchanged. Only Stats.RuleEvals/MemoHits
-	// may differ, when two copies of one canonical rule land in the
-	// same batch and both miss the memo.
+	// (score, size, seq) is unchanged. Stats are identical too: when
+	// several copies of one canonical rule land in a batch and miss the
+	// memo, only the first in staging order is evaluated and the rest
+	// count as memo hits, exactly as in a sequential run.
 	AssessParallelism int
 	// Memo, when non-nil, is the shared assessment cache the run reads
 	// and fills instead of a fresh per-searcher one. Incremental
@@ -222,9 +223,12 @@ type searcher struct {
 
 	// asr memoizes rule evaluations by canonical key across the whole
 	// run; pool (nil when AssessParallelism <= 1) fans batches of
-	// assessments out to workers.
-	asr  assessor
-	pool *assessPool
+	// assessments out to workers, with slots and firstMiss as the
+	// batch scratch of assessBatch.
+	asr       assessor
+	pool      *assessPool
+	slots     []assessSlot
+	firstMiss map[string]int
 	// arena and slab own the memory of every context generated by
 	// this searcher; visited and pending are per-cell scratch reused
 	// across cells.
@@ -403,12 +407,7 @@ func (s *searcher) explainCellMulti(base []relation.TupleID, target relation.Tup
 		}
 		pooled := s.pool != nil && len(pending) > 1
 		if pooled {
-			var wg sync.WaitGroup
-			wg.Add(len(pending))
-			for _, c := range pending {
-				s.pool.submit(assessJob{c: c, p: &p, a: &s.asr, wg: &wg})
-			}
-			wg.Wait()
+			s.assessBatch(pending, &p)
 		} else {
 			for _, c := range pending {
 				s.asr.assess(c, &p)
@@ -521,6 +520,61 @@ func (s *searcher) explainCellMulti(base []relation.TupleID, target relation.Tup
 		s.failure = &UnsatWitness{ContextsExhausted: popped}
 	}
 	return found, nil
+}
+
+// assessBatch assesses a staged batch on the pool and yields the
+// verdicts and counters of a sequential pass. Generalization,
+// canonical keys, and memo lookups run in parallel first. Then,
+// sequentially in staging order, every later miss sharing a key with
+// an earlier miss of the batch becomes a memo hit on it — a sequential
+// pass would find the first one's stored result. Only the remaining
+// unique misses are evaluated, in parallel. The counters are thus a
+// pure function of the input, and no join runs twice.
+func (s *searcher) assessBatch(batch []*ectx, p *cellParams) {
+	slots := s.slots[:0]
+	for _, c := range batch {
+		slots = append(slots, assessSlot{c: c})
+	}
+	s.runStage(slots, p, false)
+	if s.firstMiss == nil {
+		s.firstMiss = make(map[string]int)
+	}
+	for i := range slots {
+		sl := &slots[i]
+		if sl.state != slotMiss {
+			continue
+		}
+		if j, ok := s.firstMiss[sl.key]; ok {
+			sl.state, sl.first = slotDup, j
+			continue
+		}
+		s.firstMiss[sl.key] = i
+	}
+	clear(s.firstMiss)
+	s.runStage(slots, p, true)
+	for i := range slots {
+		sl := &slots[i]
+		if sl.state == slotDup {
+			sl.derived = slots[sl.first].derived
+		}
+		sl.finish(p)
+	}
+	clear(slots) // drop the rules and keys
+	s.slots = slots[:0]
+}
+
+// runStage runs one assessment stage on the pool and waits for it:
+// prepare for every slot, or evaluate for the unique misses.
+func (s *searcher) runStage(slots []assessSlot, p *cellParams, evaluate bool) {
+	var wg sync.WaitGroup
+	for i := range slots {
+		if evaluate && slots[i].state != slotMiss {
+			continue
+		}
+		wg.Add(1)
+		s.pool.submit(assessJob{sl: &slots[i], p: p, a: &s.asr, evaluate: evaluate, wg: &wg})
+	}
+	wg.Wait()
 }
 
 // Alternatives synthesizes up to k distinct conjunctive queries,

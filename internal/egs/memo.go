@@ -34,9 +34,13 @@ import (
 // domain epoch; epochs are monotone non-decreasing, so stamp equality
 // implies every summand is unchanged and the cached count is exact.
 //
-// A Memo is safe for concurrent use; two workers racing on one key
-// both compute identical values (see the assessor's soundness note),
-// so a race costs at most one redundant evaluation.
+// A Memo is safe for concurrent use. Within one searcher no two
+// workers ever evaluate the same key: a parallel batch looks every key
+// up first and evaluates only its first miss per key (see
+// searcher.assessBatch). Searchers that share a Memo may still race on
+// a key; both store identical values (see the assessor's soundness
+// note), so such a race costs one redundant evaluation and shifts
+// Stats between RuleEvals and MemoHits.
 type Memo struct {
 	mu      sync.Mutex
 	entries map[string]*memoEntry

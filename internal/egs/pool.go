@@ -2,20 +2,23 @@ package egs
 
 import "sync"
 
-// assessJob asks a pool worker to run a.assess(c, p) and signal wg.
+// assessJob asks a pool worker to run one stage of a slot's
+// assessment — prepare, or evaluate when evaluate is set — and signal
+// wg.
 type assessJob struct {
-	c  *ectx
-	p  *cellParams
-	a  *assessor
-	wg *sync.WaitGroup
+	sl       *assessSlot
+	p        *cellParams
+	a        *assessor
+	evaluate bool
+	wg       *sync.WaitGroup
 }
 
 // assessPool is a bounded worker pool for batch context assessment.
 // The searcher stages one batch (the successors of a popped context,
-// deduplicated and seq-stamped sequentially), fans the assessments out
-// here, waits, and then pushes results in staging order — so the
-// worklist contents are bit-identical to a sequential run while the
-// rule evaluations, the expensive part, proceed in parallel.
+// deduplicated and seq-stamped sequentially), fans the assessment
+// stages out here, waits, and then pushes results in staging order —
+// so the worklist contents are bit-identical to a sequential run while
+// the rule evaluations, the expensive part, proceed in parallel.
 //
 // Workers never block on anything except the jobs channel, and the
 // submitting goroutine only blocks on wg after sending every job, so
@@ -33,7 +36,11 @@ func newAssessPool(workers int) *assessPool {
 		go func() {
 			defer p.wg.Done()
 			for j := range p.jobs {
-				j.a.assess(j.c, j.p)
+				if j.evaluate {
+					j.a.evaluate(j.sl, j.p)
+				} else {
+					j.a.prepare(j.sl, j.p)
+				}
 				j.wg.Done()
 			}
 		}()

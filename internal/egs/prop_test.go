@@ -73,9 +73,10 @@ func plantedInstance(rng *rand.Rand) (*task.Task, query.UCQ) {
 	}
 
 	// Label the planted query's output as O+.
-	for _, tu := range eval.UCQOutputs(planted, t.Input) {
-		t.Pos = append(t.Pos, tu)
-	}
+	eval.UCQOutputIDs(planted, t.Input).Iterate(func(id relation.TupleID) bool {
+		t.Pos = append(t.Pos, t.Input.TupleByID(id))
+		return true
+	})
 	return t, planted
 }
 

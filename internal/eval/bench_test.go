@@ -66,10 +66,9 @@ func loadFamily(b *testing.B, class string) *task.Task {
 
 // BenchmarkRuleOutputs measures the evaluator's hot path as the
 // synthesizers drive it: materializing the output set of a candidate
-// rule over a task's input database — a TupleSet of dense ids since
-// the interning refactor (the string-map form survives only as the
-// RuleOutputs adapter). The scaled-traffic case stresses set sizes
-// far beyond the paper benchmarks.
+// rule over a task's input database as a TupleSet of dense ids
+// (RuleOutputIDs). The scaled-traffic case stresses set sizes far
+// beyond the paper benchmarks.
 func BenchmarkRuleOutputs(b *testing.B) {
 	for _, tc := range evalBenchTasks {
 		t, err := task.Load(tc.path)

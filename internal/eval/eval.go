@@ -52,10 +52,9 @@ func EvalRule(r query.Rule, db *relation.Database, yield Yield) {
 
 // EvalRuleIDs is EvalRule on the dense-id plane: derived head tuples
 // are interned into db and yielded as TupleIDs. Deduplication is a
-// bitset test and the head-projection buffer is reused across
-// emissions, so the per-output allocation of the string-keyed path
-// disappears for already-interned tuples. This is the synthesizers'
-// hot path: one candidate rule is evaluated per enumeration context.
+// bitset test, and an already-interned tuple costs no allocation.
+// This is the synthesizers' hot path: one candidate rule is evaluated
+// per enumeration context.
 func EvalRuleIDs(r query.Rule, db *relation.Database, yield YieldID) {
 	e := newEvaluator(r, db)
 	e.yieldID = yield
@@ -100,33 +99,6 @@ func UCQOutputIDs(q query.UCQ, db *relation.Database) *relation.TupleSet {
 			return true
 		})
 	}
-	return out
-}
-
-// RuleOutputs returns the set of head tuples derivable by r, keyed by
-// Tuple.Key.
-//
-// It is a thin adapter over RuleOutputIDs kept for differential tests
-// and external callers during the TupleID migration; new code should
-// use RuleOutputIDs.
-func RuleOutputs(r query.Rule, db *relation.Database) map[string]relation.Tuple {
-	return idsToMap(db, RuleOutputIDs(r, db))
-}
-
-// UCQOutputs returns the set of head tuples derivable by any rule of
-// q, keyed by Tuple.Key. Like RuleOutputs, it is a migration adapter
-// over UCQOutputIDs.
-func UCQOutputs(q query.UCQ, db *relation.Database) map[string]relation.Tuple {
-	return idsToMap(db, UCQOutputIDs(q, db))
-}
-
-func idsToMap(db *relation.Database, ids *relation.TupleSet) map[string]relation.Tuple {
-	out := make(map[string]relation.Tuple, ids.Len())
-	ids.Iterate(func(id relation.TupleID) bool {
-		t := db.TupleByID(id)
-		out[t.Key()] = t
-		return true
-	})
 	return out
 }
 
@@ -179,7 +151,12 @@ type evaluator struct {
 	strat strategy // join strategy picked for this session (strategy.go)
 	val   []relation.Const
 	bound []bool
-	seen  map[string]bool // dedup of emitted head tuples (string path)
+
+	// Tuple path (EvalRule): emitted holds each distinct head tuple
+	// yielded so far and seen indexes it, so a repeated derivation is
+	// one probe and allocates nothing.
+	seen    relation.Index
+	emitted []relation.Tuple
 
 	// newlyAt[d] is the scratch list of variables bound while matching
 	// the literal at search depth d; only one match per depth is live
@@ -192,10 +169,11 @@ type evaluator struct {
 	restrictLit int
 
 	// Id path: yieldID non-nil selects it. Dedup is a bitset over the
-	// interning table and the head-projection buffer is reused, since
-	// InternTuple copies when a tuple is new.
+	// interning table.
 	yieldID YieldID
 	seenIDs relation.TupleSet
+	// scratch is the head-projection buffer of both paths; it is
+	// reused because InternTuple and emit copy a tuple only when new.
 	scratch []relation.Const
 
 	// Batch-strategy state (batch.go): per order position, the pruned
@@ -257,9 +235,9 @@ func (e *evaluator) release() {
 	for i := range e.unaryCS {
 		e.unaryCS[i] = nil // aliases db column const-set views
 	}
-	if e.seen != nil {
-		clear(e.seen)
-	}
+	e.seen.Reset()
+	clear(e.emitted) // yielded tuples belong to the caller now
+	e.emitted = e.emitted[:0]
 	e.seenIDs.Reset()
 	notePoolRelease()
 	evaluatorPool.Put(e)
@@ -403,48 +381,49 @@ func (e *evaluator) emit(yield Yield) bool {
 	if e.yieldID != nil {
 		return e.emitID()
 	}
-	args := make([]relation.Const, len(e.rule.Head.Args))
+	e.scratch = growConsts(e.scratch, len(e.rule.Head.Args))
+	if !e.project(e.scratch) {
+		return true
+	}
+	// The index keys the new id by the scratch projection, and the
+	// copy appended under that id is what later probes compare with.
+	key := relation.Tuple{Rel: e.rule.Head.Rel, Args: e.scratch}
+	if _, added := e.seen.Insert(key, int32(len(e.emitted)), e.emittedAt); !added {
+		return true
+	}
+	t := relation.NewTupleCopy(e.rule.Head.Rel, e.scratch)
+	e.emitted = append(e.emitted, t)
+	return yield(t)
+}
+
+func (e *evaluator) emittedAt(id int32) relation.Tuple { return e.emitted[id] }
+
+// project fills args (sized to the head) with the head tuple's args
+// under the current valuation. It reports false for an unsafe rule whose
+// head variable the body leaves unbound: such rules derive nothing
+// (Rule.Safe rejects them earlier; this is a defensive guard).
+func (e *evaluator) project(args []relation.Const) bool {
 	for i, t := range e.rule.Head.Args {
 		if t.IsConst {
 			args[i] = t.Const
 			continue
 		}
 		if !e.bound[t.Var] {
-			// Unsafe rule: a head variable is not bound by the body.
-			// Such rules derive nothing (they are rejected earlier by
-			// Rule.Safe; this is a defensive guard).
-			return true
+			return false
 		}
 		args[i] = e.val[t.Var]
 	}
-	t := relation.Tuple{Rel: e.rule.Head.Rel, Args: args}
-	k := t.Key()
-	if e.seen == nil {
-		e.seen = make(map[string]bool)
-	}
-	if e.seen[k] {
-		return true
-	}
-	e.seen[k] = true
-	return yield(t)
+	return true
 }
 
 // emitID is the id-path emit: intern the projected head tuple and
 // yield its dense id, deduplicating via bitset.
 func (e *evaluator) emitID() bool {
 	e.scratch = growConsts(e.scratch, len(e.rule.Head.Args))
-	args := e.scratch
-	for i, t := range e.rule.Head.Args {
-		if t.IsConst {
-			args[i] = t.Const
-			continue
-		}
-		if !e.bound[t.Var] {
-			return true // defensive guard, as in emit
-		}
-		args[i] = e.val[t.Var]
+	if !e.project(e.scratch) {
+		return true
 	}
-	id := e.db.InternTuple(relation.Tuple{Rel: e.rule.Head.Rel, Args: args})
+	id := e.db.InternTuple(relation.Tuple{Rel: e.rule.Head.Rel, Args: e.scratch})
 	if !e.seenIDs.Add(id) {
 		return true
 	}

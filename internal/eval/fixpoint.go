@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"sort"
 
 	"github.com/egs-synthesis/egs/internal/query"
 	"github.com/egs-synthesis/egs/internal/relation"
@@ -29,8 +30,8 @@ import (
 // synthesizer.
 //
 // The input database is not modified; the result contains the
-// derived intensional tuples only, keyed by Tuple.Key.
-func FixpointUCQ(q query.UCQ, db *relation.Database) (map[string]relation.Tuple, error) {
+// derived intensional tuples only, in Compare order.
+func FixpointUCQ(q query.UCQ, db *relation.Database) ([]relation.Tuple, error) {
 	// Validate: body literals must be declared; heads must not be
 	// input relations (that would amount to mutating the EDB).
 	for i, r := range q.Rules {
@@ -48,7 +49,6 @@ func FixpointUCQ(q query.UCQ, db *relation.Database) (map[string]relation.Tuple,
 	for _, t := range db.All() {
 		work.Insert(t)
 	}
-	derived := make(map[string]relation.Tuple)
 	derivedIDs := &relation.TupleSet{}
 
 	// collect records a derived head id the first time it is seen,
@@ -61,9 +61,6 @@ func FixpointUCQ(q query.UCQ, db *relation.Database) (map[string]relation.Tuple,
 			return true
 		}
 		if derivedIDs.Add(id) {
-			t := work.TupleByID(id)
-			t = relation.Tuple{Rel: t.Rel, Args: append([]relation.Const(nil), t.Args...)}
-			derived[t.Key()] = t
 			frontier = append(frontier, id)
 		}
 		return true
@@ -100,6 +97,13 @@ func FixpointUCQ(q query.UCQ, db *relation.Database) (map[string]relation.Tuple,
 			}
 		}
 	}
+	derived := make([]relation.Tuple, 0, derivedIDs.Len())
+	derivedIDs.Iterate(func(id relation.TupleID) bool {
+		t := work.TupleByID(id)
+		derived = append(derived, relation.Tuple{Rel: t.Rel, Args: append([]relation.Const(nil), t.Args...)})
+		return true
+	})
+	sort.Slice(derived, func(i, j int) bool { return derived[i].Compare(derived[j]) < 0 })
 	return derived, nil
 }
 

@@ -101,56 +101,63 @@ func fuzzCase(data []byte) (*relation.Database, query.Rule, []relation.Tuple, bo
 	return db, r, overlay, true
 }
 
-func sortedKeys(m map[string]relation.Tuple) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+// resolvedOutputs resolves RuleOutputIDs to tuples in Compare order,
+// the container the naive oracle returns.
+func resolvedOutputs(r query.Rule, db *relation.Database) []relation.Tuple {
+	var out []relation.Tuple
+	eval.RuleOutputIDs(r, db).Iterate(func(id relation.TupleID) bool {
+		out = append(out, db.TupleByID(id))
+		return true
+	})
+	sortTuples(out)
+	return out
+}
+
+// tupleOutputs collects the tuple path (EvalRule) in Compare order.
+func tupleOutputs(r query.Rule, db *relation.Database) []relation.Tuple {
+	var out []relation.Tuple
+	eval.EvalRule(r, db, func(t relation.Tuple) bool {
+		out = append(out, t)
+		return true
+	})
+	sortTuples(out)
+	return out
+}
+
+func sortTuples(ts []relation.Tuple) {
+	sort.Slice(ts, func(i, j int) bool { return ts[i].Compare(ts[j]) < 0 })
 }
 
 // checkEquivalence compares the naive oracle against the indexed
-// string-keyed path and the dense-id path, with the join strategy
-// pinned to backtracking and then to batch.
+// tuple path and the dense-id path, with the join strategy pinned to
+// backtracking and then to batch.
 func checkEquivalence(t *testing.T, db *relation.Database, r query.Rule, stage string) {
 	t.Helper()
 	naive := eval.EvalRuleNaive(r, db)
-	nk := sortedKeys(naive)
 	for _, strat := range []eval.Strategy{eval.StrategyBacktrack, eval.StrategyBatch} {
 		restore := eval.ForceStrategy(strat)
-		indexed := eval.RuleOutputs(r, db)
-		ids := eval.RuleOutputIDs(r, db)
+		tuples := tupleOutputs(r, db)
+		indexed := resolvedOutputs(r, db)
 		restore()
 
-		ik := sortedKeys(indexed)
-		if len(nk) != len(ik) {
-			t.Fatalf("[%s/%s] naive derives %d tuples, indexed derives %d\nrule: %s",
-				stage, strat, len(nk), len(ik), r.String(db.Schema, db.Domain))
-		}
-		for i := range nk {
-			if nk[i] != ik[i] {
-				t.Fatalf("[%s/%s] naive and indexed outputs diverge\nrule: %s",
-					stage, strat, r.String(db.Schema, db.Domain))
+		for _, got := range [][]relation.Tuple{tuples, indexed} {
+			if len(naive) != len(got) {
+				t.Fatalf("[%s/%s] naive derives %d tuples, indexed derives %d\nrule: %s",
+					stage, strat, len(naive), len(got), r.String(db.Schema, db.Domain))
+			}
+			for i := range naive {
+				if naive[i].Compare(got[i]) != 0 {
+					t.Fatalf("[%s/%s] naive and indexed outputs diverge\nrule: %s",
+						stage, strat, r.String(db.Schema, db.Domain))
+				}
 			}
 		}
-		if ids.Len() != len(naive) {
-			t.Fatalf("[%s/%s] id path derives %d tuples, naive derives %d\nrule: %s",
-				stage, strat, ids.Len(), len(naive), r.String(db.Schema, db.Domain))
-		}
-		ids.Iterate(func(id relation.TupleID) bool {
-			if _, present := naive[db.TupleByID(id).Key()]; !present {
-				t.Fatalf("[%s/%s] id path derived tuple missing from naive output\nrule: %s",
-					stage, strat, r.String(db.Schema, db.Domain))
-			}
-			return true
-		})
 	}
 }
 
 // FuzzEvalEquivalence differentially tests the evaluation paths: the
-// indexed string-keyed evaluator (EvalRule via RuleOutputs), the
-// dense-id path (RuleOutputIDs), and the unoptimized nested-loop
+// indexed tuple-path evaluator (EvalRule), the dense-id path
+// (RuleOutputIDs), and the unoptimized nested-loop
 // oracle (EvalRuleNaive) — each indexed path forced through both the
 // backtracking and the batch join strategy. All must derive exactly
 // the same set of output tuples on every input, both on the base

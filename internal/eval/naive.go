@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"sort"
+
 	"github.com/egs-synthesis/egs/internal/query"
 	"github.com/egs-synthesis/egs/internal/relation"
 )
@@ -8,10 +10,12 @@ import (
 // EvalRuleNaive is a reference evaluator used for differential
 // testing of EvalRule. It performs an unoptimized nested-loop join in
 // the body's given literal order, scanning full relation extents with
-// no indexes and no planning. Its outputs must coincide with
-// EvalRule's on every input.
-func EvalRuleNaive(r query.Rule, db *relation.Database) map[string]relation.Tuple {
-	out := make(map[string]relation.Tuple)
+// no indexes and no planning, and it deduplicates by sorting, so it
+// shares no code with the join kernels or the identity index. Its
+// output — the distinct derived tuples in Compare order — must
+// coincide with EvalRule's on every input.
+func EvalRuleNaive(r query.Rule, db *relation.Database) []relation.Tuple {
+	var out []relation.Tuple
 	n := r.NumVars()
 	val := make([]relation.Const, n)
 	bound := make([]bool, n)
@@ -30,8 +34,7 @@ func EvalRuleNaive(r query.Rule, db *relation.Database) map[string]relation.Tupl
 				}
 				args[j] = val[t.Var]
 			}
-			tup := relation.Tuple{Rel: r.Head.Rel, Args: args}
-			out[tup.Key()] = tup
+			out = append(out, relation.Tuple{Rel: r.Head.Rel, Args: args})
 			return
 		}
 		lit := r.Body[i]
@@ -72,15 +75,26 @@ func EvalRuleNaive(r query.Rule, db *relation.Database) map[string]relation.Tupl
 		}
 	}
 	rec(0)
-	return out
+	return sortedUnique(out)
 }
 
-// UCQOutputsNaive is the reference UCQ evaluator.
-func UCQOutputsNaive(q query.UCQ, db *relation.Database) map[string]relation.Tuple {
-	out := make(map[string]relation.Tuple)
+// UCQOutputsNaive is the reference UCQ evaluator: the distinct
+// tuples derived by any rule of q, in Compare order.
+func UCQOutputsNaive(q query.UCQ, db *relation.Database) []relation.Tuple {
+	var out []relation.Tuple
 	for _, r := range q.Rules {
-		for k, t := range EvalRuleNaive(r, db) {
-			out[k] = t
+		out = append(out, EvalRuleNaive(r, db)...)
+	}
+	return sortedUnique(out)
+}
+
+// sortedUnique sorts ts in Compare order and drops repeats in place.
+func sortedUnique(ts []relation.Tuple) []relation.Tuple {
+	sort.Slice(ts, func(i, j int) bool { return ts[i].Compare(ts[j]) < 0 })
+	out := ts[:0]
+	for i, t := range ts {
+		if i == 0 || t.Compare(ts[i-1]) != 0 {
+			out = append(out, t)
 		}
 	}
 	return out

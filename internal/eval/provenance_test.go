@@ -68,7 +68,7 @@ func TestWhyAgreesWithDerives(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 300; trial++ {
 		rule, db := randomInstance(rng)
-		outs := RuleOutputs(rule, db)
+		outs := outputTuples(rule, db)
 		probe := make([]relation.Tuple, 0, len(outs)+3)
 		for _, tu := range outs {
 			probe = append(probe, tu)

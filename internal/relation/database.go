@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -47,14 +48,12 @@ type Database struct {
 	Schema *Schema
 	Domain *Domain
 
-	tuples []Tuple
-	keys   map[string]TupleID
-	// packed mirrors keys for tuples of arity ≤ packedArity under a
-	// fixed-size comparable key, so the interning hot path (emitting a
-	// derived tuple already seen) hashes a struct instead of building
-	// a string. keys remains the source of truth; packed is a pure
-	// accelerator and always updated alongside it.
-	packed map[packedKey]TupleID
+	tuples []Tuple // base facts; ids [0, len(tuples))
+	// ids is the identity index of every tuple holding an id: base
+	// facts, overlay facts, and interned tuples alike. It resolves ids
+	// through TupleByID, so it stores no second copy of any args.
+	// Guarded by intern.mu.
+	ids Index
 
 	byRel [][]TupleID // relation id -> extent
 	// byCol[rel][col] maps a constant to the tuples of rel having
@@ -95,45 +94,20 @@ const (
 
 // internTable assigns dense ids, continuing the Database's id space,
 // to tuples that are not inserted facts: derived output tuples and
-// example tuples. The first InternTuple call freezes the insert
-// region (ids [0, base)); interned tuples take ids base, base+1, ...
+// example tuples. The first InternTuple call that assigns an id
+// freezes the insert region (ids [0, base)); interned tuples take ids
+// base, base+1, ...
 //
-// Lookups and appends are guarded by mu. Resolving an id a goroutine
-// already holds is lock-free: the chunk spine is published via an
-// atomic pointer and chunks are never reallocated.
+// Lookups and appends (Database.ids and the spine) are guarded by mu.
+// Resolving an id a goroutine already holds is lock-free: the chunk
+// spine is published via an atomic pointer and chunks are never
+// reallocated.
 type internTable struct {
-	mu    sync.RWMutex
-	byKey map[string]TupleID
-	// byPacked mirrors byKey for packable tuples (see Database.packed).
-	byPacked map[packedKey]TupleID
-	spine    atomic.Pointer[[]*[internChunkSize]Tuple]
-	count    int
-	base     int // len(db.tuples) at freeze time
-}
-
-// packedArity bounds the tuple arity the packed identity key covers;
-// wider tuples fall back to the string key. Four columns cover every
-// relation in the benchmark suite.
-const packedArity = 4
-
-// packedKey is a fixed-size comparable identity for a tuple: relation,
-// arity, and up to packedArity argument constants. Hashing it is a
-// few words of memhash — no serialization, no allocation.
-type packedKey struct {
-	rel  RelID
-	n    int8
-	args [packedArity]Const
-}
-
-// packTuple returns the packed identity of t, or ok=false when the
-// tuple is too wide to pack.
-func packTuple(t Tuple) (packedKey, bool) {
-	if len(t.Args) > packedArity {
-		return packedKey{}, false
-	}
-	k := packedKey{rel: t.Rel, n: int8(len(t.Args))}
-	copy(k.args[:], t.Args)
-	return k, true
+	mu     sync.RWMutex
+	frozen bool
+	spine  atomic.Pointer[[]*[internChunkSize]Tuple]
+	count  int
+	base   int // len(db.tuples) at freeze time
 }
 
 // NewDatabase returns an empty database over the given schema and
@@ -142,8 +116,6 @@ func NewDatabase(s *Schema, d *Domain) *Database {
 	return &Database{
 		Schema:  s,
 		Domain:  d,
-		keys:    make(map[string]TupleID),
-		packed:  make(map[packedKey]TupleID),
 		byConst: make(map[Const][]TupleID),
 	}
 }
@@ -161,49 +133,49 @@ func NewDatabase(s *Schema, d *Domain) *Database {
 // race with concurrent readers or interns; they are a between-runs
 // operation.
 func (db *Database) Insert(t Tuple) TupleID {
-	k := t.Key()
-	if id, ok := db.keys[k]; ok {
-		return id
-	}
-	db.intern.mu.RLock()
-	frozen := db.intern.byKey != nil
-	db.intern.mu.RUnlock()
-	if frozen {
+	it := &db.intern
+	it.mu.Lock()
+	if it.frozen {
+		it.mu.Unlock()
 		return db.insertOverlay(t)
 	}
-	t = Tuple{Rel: t.Rel, Args: append([]Const(nil), t.Args...)}
-	id := TupleID(len(db.tuples))
-	db.tuples = append(db.tuples, t)
-	db.keys[k] = id
-	if pk, ok := packTuple(t); ok {
-		db.packed[pk] = id
+	id, added := db.ids.Insert(t, int32(len(db.tuples)), db.keyAt)
+	if added {
+		t = Tuple{Rel: t.Rel, Args: append([]Const(nil), t.Args...)}
+		db.tuples = append(db.tuples, t)
 	}
-	db.index(t, id)
-	return id
+	it.mu.Unlock()
+	if added {
+		db.index(t, TupleID(id))
+	}
+	return TupleID(id)
 }
 
+// keyAt resolves an identity-index id; it is the index's key resolver.
+func (db *Database) keyAt(id int32) Tuple { return db.TupleByID(TupleID(id)) }
+
 // index registers a fact tuple in the extent, column, and constant
-// indexes. Ids arrive in ascending order (base inserts count up from
-// 0; overlay inserts draw monotonically from the spine), so every
-// index list stays sorted — the invariant Snapshot relies on.
+// indexes, keeping every index list in ascending id order — the
+// invariant Snapshot relies on. Ids almost always arrive in ascending
+// order (base inserts count up from 0; overlay inserts draw
+// monotonically from the spine), so sortedInsert is an append; only a
+// promoted interned tuple can land before facts already indexed.
 func (db *Database) index(t Tuple, id TupleID) {
 	for int(t.Rel) >= len(db.byRel) {
 		db.byRel = append(db.byRel, nil)
 		db.byCol = append(db.byCol, nil)
 	}
-	db.byRel[t.Rel] = append(db.byRel[t.Rel], id)
+	db.byRel[t.Rel] = sortedInsert(db.byRel[t.Rel], id)
 
 	cols := db.byCol[t.Rel]
 	for len(cols) < len(t.Args) {
 		cols = append(cols, make(map[Const][]TupleID))
 	}
 	db.byCol[t.Rel] = cols
-	seen := make(map[Const]bool, len(t.Args))
 	for col, c := range t.Args {
-		cols[col][c] = append(cols[col][c], id)
-		if !seen[c] {
-			seen[c] = true
-			db.byConst[c] = append(db.byConst[c], id)
+		cols[col][c] = sortedInsert(cols[col][c], id)
+		if !slices.Contains(t.Args[:col], c) {
+			db.byConst[c] = sortedInsert(db.byConst[c], id)
 		}
 	}
 }
@@ -216,7 +188,7 @@ func (db *Database) index(t Tuple, id TupleID) {
 // indexed — sortedInsert keeps the index lists ordered in that case.
 func (db *Database) insertOverlay(t Tuple) TupleID {
 	id := db.InternTuple(t)
-	if _, dup := db.overlay[id]; dup {
+	if _, isFact := db.GenerationOf(id); isFact {
 		return id
 	}
 	if db.gen == 0 {
@@ -228,33 +200,8 @@ func (db *Database) insertOverlay(t Tuple) TupleID {
 	db.overlay[id] = db.gen
 	db.overlayIDs = sortedInsert(db.overlayIDs, id)
 	t = db.TupleByID(id) // the interned copy owns its args
-	db.indexSorted(t, id)
+	db.index(t, id)
 	return id
-}
-
-// indexSorted is index for ids that may be out of order (promoted
-// interned tuples); it preserves the ascending-id invariant of every
-// index list.
-func (db *Database) indexSorted(t Tuple, id TupleID) {
-	for int(t.Rel) >= len(db.byRel) {
-		db.byRel = append(db.byRel, nil)
-		db.byCol = append(db.byCol, nil)
-	}
-	db.byRel[t.Rel] = sortedInsert(db.byRel[t.Rel], id)
-
-	cols := db.byCol[t.Rel]
-	for len(cols) < len(t.Args) {
-		cols = append(cols, make(map[Const][]TupleID))
-	}
-	db.byCol[t.Rel] = cols
-	seen := make(map[Const]bool, len(t.Args))
-	for col, c := range t.Args {
-		cols[col][c] = sortedInsert(cols[col][c], id)
-		if !seen[c] {
-			seen[c] = true
-			db.byConst[c] = sortedInsert(db.byConst[c], id)
-		}
-	}
 }
 
 // sortedInsert inserts id into the ascending list ids. The common
@@ -312,56 +259,28 @@ func (db *Database) Tuple(id TupleID) Tuple { return db.TupleByID(id) }
 // the interning overlay, which does not affect extents, indexes,
 // Contains, or Size. The args slice is copied when the tuple is new.
 //
-// The first call freezes the insert region; InternTuple is safe for
-// concurrent use from then on.
-//
-// The hit path for packable tuples (arity ≤ packedArity — every
-// relation in the benchmark suite) never serializes the tuple: it
-// hashes a fixed-size struct against the packed mirrors of the two
-// key maps. This is the single hottest operation in synthesis — the
-// evaluator interns one head tuple per satisfying valuation.
+// The first call that assigns an id freezes the insert region;
+// InternTuple is safe for concurrent use from then on. A hit — the
+// evaluator interns one head tuple per satisfying valuation, so this
+// is the hottest operation in synthesis — is one hash-index probe
+// under the read lock and does not allocate.
 func (db *Database) InternTuple(t Tuple) TupleID {
-	pk, packable := packTuple(t)
 	it := &db.intern
-	if packable {
-		if id, ok := db.packed[pk]; ok {
-			return id
-		}
-		it.mu.RLock()
-		id, ok := it.byPacked[pk]
-		it.mu.RUnlock()
-		if ok {
-			return id
-		}
-		return db.internSlow(t, pk, packable)
-	}
-	k := t.Key()
-	if id, ok := db.keys[k]; ok {
-		return id
-	}
 	it.mu.RLock()
-	id, ok := it.byKey[k]
+	id, ok := db.ids.Find(t, db.keyAt)
 	it.mu.RUnlock()
 	if ok {
-		return id
+		return TupleID(id)
 	}
-	return db.internSlow(t, pk, packable)
-}
-
-// internSlow assigns an id to a tuple both fast paths missed,
-// re-checking under the write lock against racing interns.
-func (db *Database) internSlow(t Tuple, pk packedKey, packable bool) TupleID {
-	k := t.Key()
-	it := &db.intern
 	it.mu.Lock()
 	defer it.mu.Unlock()
-	if id, ok := it.byKey[k]; ok {
-		return id
-	}
-	if it.byKey == nil {
-		it.byKey = make(map[string]TupleID)
-		it.byPacked = make(map[packedKey]TupleID)
+	if !it.frozen {
+		it.frozen = true
 		it.base = len(db.tuples)
+	}
+	id, added := db.ids.Insert(t, int32(it.base+it.count), db.keyAt)
+	if !added {
+		return TupleID(id) // a racing intern got there first
 	}
 	ci, off := it.count>>internChunkBits, it.count&(internChunkSize-1)
 	spine := it.spine.Load()
@@ -377,13 +296,8 @@ func (db *Database) internSlow(t Tuple, pk packedKey, packable bool) TupleID {
 		spine = &grown
 	}
 	(*spine)[ci][off] = Tuple{Rel: t.Rel, Args: append([]Const(nil), t.Args...)}
-	id := TupleID(it.base + it.count)
 	it.count++
-	it.byKey[k] = id
-	if packable {
-		it.byPacked[pk] = id
-	}
-	return id
+	return TupleID(id)
 }
 
 // TupleByID resolves any id in the database's id space — inserted or
@@ -414,22 +328,17 @@ func (db *Database) Contains(t Tuple) bool {
 	return ok
 }
 
-// ID returns the id of the given fact tuple, if present.
+// ID returns the id of the given fact tuple, if present. A tuple that
+// is only interned reports its id with ok false.
 func (db *Database) ID(t Tuple) (TupleID, bool) {
-	if id, ok := db.keys[t.Key()]; ok {
-		return id, true
-	}
-	if len(db.overlay) == 0 {
-		return 0, false
-	}
 	db.intern.mu.RLock()
-	id, ok := db.intern.byKey[t.Key()]
+	id, ok := db.ids.Find(t, db.keyAt)
 	db.intern.mu.RUnlock()
 	if !ok {
 		return 0, false
 	}
-	_, isFact := db.overlay[id]
-	return id, isFact
+	_, isFact := db.GenerationOf(TupleID(id))
+	return TupleID(id), isFact
 }
 
 // Extent returns the ids of all tuples of relation r. The returned

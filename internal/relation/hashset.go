@@ -6,8 +6,9 @@ package relation
 // be computed incrementally for C ∪ {id} before the extended slice is
 // ever allocated, and an open-addressed set of such fingerprints.
 
-// hashSeed is the initial state of an id-set fingerprint (an arbitrary
-// odd constant, the golden-ratio multiplier of Fibonacci hashing).
+// hashSeed is the initial state of an id-set fingerprint and of an
+// Index key hash (an arbitrary odd constant, the golden-ratio
+// multiplier of Fibonacci hashing).
 const hashSeed uint64 = 0x9e3779b97f4a7c15
 
 // mix64 is the SplitMix64 finalizer: a cheap invertible permutation of

@@ -141,9 +141,27 @@ func TestSchemaRelationsByKind(t *testing.T) {
 	}
 }
 
+// keyIndex is an Index over a slice of keys (id = position), the way
+// the example oracle indexes i-slices.
+type keyIndex struct {
+	x    Index
+	keys []Tuple
+}
+
+func (k *keyIndex) at(id int32) Tuple { return k.keys[id] }
+
+// add returns the id of key t, assigning the next position when new.
+func (k *keyIndex) add(t Tuple) (int32, bool) {
+	id, added := k.x.Insert(t, int32(len(k.keys)), k.at)
+	if added {
+		k.keys = append(k.keys, t)
+	}
+	return id, added
+}
+
 func TestTupleKeyInjective(t *testing.T) {
-	// Key must distinguish relation ids from argument values and
-	// different arities with coinciding prefixes.
+	// The identity index must distinguish relation ids from argument
+	// values and different arities with coinciding prefixes.
 	cases := []Tuple{
 		NewTuple(0, 1, 2),
 		NewTuple(0, 2, 1),
@@ -152,13 +170,11 @@ func TestTupleKeyInjective(t *testing.T) {
 		NewTuple(0, 1, 2, 3),
 		NewTuple(0),
 	}
-	seen := map[string]Tuple{}
+	var k keyIndex
 	for _, tu := range cases {
-		k := tu.Key()
-		if prev, dup := seen[k]; dup {
-			t.Errorf("Key collision between %v and %v", prev, tu)
+		if id, added := k.add(tu); !added {
+			t.Errorf("identity collision between %v and %v", k.keys[id], tu)
 		}
-		seen[k] = tu
 	}
 }
 
@@ -172,7 +188,10 @@ func TestTupleKeyQuick(t *testing.T) {
 		for i, v := range a2 {
 			t2.Args[i] = Const(v)
 		}
-		return (t1.Key() == t2.Key()) == t1.Equal(t2)
+		var k keyIndex
+		k.add(t1)
+		_, found := k.x.Find(t2, k.at)
+		return found == t1.Equal(t2)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -180,15 +199,21 @@ func TestTupleKeyQuick(t *testing.T) {
 }
 
 func TestTupleSliceKey(t *testing.T) {
+	// An i-slice is keyed as the tuple (Rel, Args[:i]).
+	slice := func(tu Tuple, i int) Tuple { return Tuple{Rel: tu.Rel, Args: tu.Args[:i]} }
 	tu := NewTuple(3, 7, 8, 9)
-	if tu.SliceKey(3) != tu.Key() {
-		t.Error("SliceKey(arity) != Key()")
+	var k keyIndex
+	full, _ := k.add(slice(tu, 3))
+	if id, ok := k.x.Find(tu, k.at); !ok || id != full {
+		t.Error("the full-arity slice is not the tuple's key")
 	}
-	if tu.SliceKey(1) == tu.SliceKey(2) {
+	one, _ := k.add(slice(tu, 1))
+	two, _ := k.add(slice(tu, 2))
+	if one == two {
 		t.Error("distinct slices share a key")
 	}
 	other := NewTuple(3, 7, 9, 8)
-	if tu.SliceKey(1) != other.SliceKey(1) {
+	if id, _ := k.add(slice(other, 1)); id != one {
 		t.Error("equal 1-slices have different keys")
 	}
 }

@@ -39,48 +39,6 @@ func (t Tuple) Equal(u Tuple) bool {
 	return true
 }
 
-// Key encodes the tuple into a compact string usable as a map key.
-// The encoding is injective across tuples of any relation and arity.
-func (t Tuple) Key() string {
-	var b strings.Builder
-	b.Grow(4 + 4*len(t.Args))
-	putInt32(&b, int32(t.Rel))
-	for _, a := range t.Args {
-		putInt32(&b, int32(a))
-	}
-	return b.String()
-}
-
-// SliceKey encodes the i-slice of the tuple — its relation id and
-// first i arguments — into a map key. SliceKey(len(Args)) == Key().
-func (t Tuple) SliceKey(i int) string {
-	var b strings.Builder
-	b.Grow(4 + 4*i)
-	putInt32(&b, int32(t.Rel))
-	for _, a := range t.Args[:i] {
-		putInt32(&b, int32(a))
-	}
-	return b.String()
-}
-
-// ArgsKey encodes only the argument vector (not the relation). Useful
-// for keys over D^k such as closed-world negative-example sets.
-func ArgsKey(args []Const) string {
-	var b strings.Builder
-	b.Grow(4 * len(args))
-	for _, a := range args {
-		putInt32(&b, int32(a))
-	}
-	return b.String()
-}
-
-func putInt32(b *strings.Builder, v int32) {
-	b.WriteByte(byte(v))
-	b.WriteByte(byte(v >> 8))
-	b.WriteByte(byte(v >> 16))
-	b.WriteByte(byte(v >> 24))
-}
-
 // Compare orders tuples by relation id, then arity, then
 // argument-wise. It returns -1, 0, or +1.
 func (t Tuple) Compare(u Tuple) int {

@@ -166,11 +166,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	// must not be replayed to untraced clients.
 	if v, ok := s.cache.Get(key); ok && tr == nil {
 		s.mCacheHits.Inc()
-		resp := *v.(*SynthesisResponse) // shallow copy; cached entry stays immutable
-		resp.Cached = true
-		resp.ElapsedMS = msSince(start)
-		s.log.Info("synthesis served from cache", "task", t.Name(), "hash", hash)
-		s.writeJSON(w, http.StatusOK, &resp)
+		s.writeCached(w, start, v.(*SynthesisResponse), t.Name(), hash)
 		return
 	}
 	s.mCacheMisses.Inc()
@@ -230,6 +226,16 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		}
 		s.log.Info("synthesis shared from flight", "task", t.Name(), "hash", hash)
 		s.writeFlightOutcome(w, start, f.out, true)
+		return
+	}
+	// A miss can land just before the previous leader's cache.Put and
+	// its join just after that leader's finish, which makes this
+	// request the leader of a fresh flight for an answer already
+	// cached. Re-check, so the key is never synthesized twice.
+	if v, ok := s.cache.Get(key); ok {
+		resp := v.(*SynthesisResponse)
+		s.flights.finish(key, f, flightOutcome{resp: resp})
+		s.writeCached(w, start, resp, t.Name(), hash)
 		return
 	}
 	s.mFlightLeaders.Inc()
@@ -304,6 +310,15 @@ func (s *Server) writeFlightOutcome(w http.ResponseWriter, start time.Time, out 
 	resp := *out.resp
 	resp.Coalesced = coalesced
 	resp.ElapsedMS = msSince(start)
+	s.writeJSON(w, http.StatusOK, &resp)
+}
+
+// writeCached serves a response from the result cache.
+func (s *Server) writeCached(w http.ResponseWriter, start time.Time, cached *SynthesisResponse, name, hash string) {
+	resp := *cached // shallow copy; cached entry stays immutable
+	resp.Cached = true
+	resp.ElapsedMS = msSince(start)
+	s.log.Info("synthesis served from cache", "task", name, "hash", hash)
 	s.writeJSON(w, http.StatusOK, &resp)
 }
 

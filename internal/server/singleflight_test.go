@@ -233,3 +233,67 @@ func TestSingleflightCancellationDoesNotPoison(t *testing.T) {
 	<-out2
 	<-out2
 }
+
+// TestLateJoinAfterCachePutDoesNotResynthesize replays the interleaving
+// in which a request misses the result cache just before the previous
+// leader's cache.Put, then joins the flight group just after that
+// leader's finish. It becomes the leader of a fresh flight; it must
+// serve the cached answer instead of synthesizing the key again.
+func TestLateJoinAfterCachePutDoesNotResynthesize(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join(benchDir, "kinship.task"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{Workers: 1})
+	if _, first := post(t, ts.URL+"/synthesize", "text/plain", string(src)); first.Status != "sat" {
+		t.Fatalf("first request status %q (%s)", first.Status, first.Error)
+	}
+	leaders, evals := s.mFlightLeaders.Value(), s.mAssessEvals.Value()
+
+	// Take the cached answer out, so the next request misses.
+	s.cache.mu.Lock()
+	el := s.cache.ll.Front()
+	entry := el.Value.(*lruEntry)
+	s.cache.ll.Remove(el)
+	delete(s.cache.items, entry.key)
+	s.cache.mu.Unlock()
+
+	// Hold the flight group so the request stops between its cache
+	// miss and its join; publish the answer in that window, as the
+	// previous leader's Put would.
+	s.flights.mu.Lock()
+	done := make(chan *SynthesisResponse, 1)
+	go func() {
+		var sr SynthesisResponse
+		if resp, err := http.Post(ts.URL+"/synthesize", "text/plain", strings.NewReader(string(src))); err != nil {
+			sr.Error = err.Error()
+		} else {
+			if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+				sr.Error = err.Error()
+			}
+			resp.Body.Close()
+		}
+		done <- &sr
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.mCacheMisses.Value() < 2 {
+		if time.Now().After(deadline) {
+			s.flights.mu.Unlock()
+			t.Fatal("second request never missed the cache")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s.cache.Put(entry.key, entry.val)
+	s.flights.mu.Unlock()
+
+	sr := <-done
+	if sr.Status != "sat" || sr.Datalog != entry.val.(*SynthesisResponse).Datalog {
+		t.Fatalf("late joiner got status %q (%s) datalog %q, want the cached answer", sr.Status, sr.Error, sr.Datalog)
+	}
+	if got := s.mFlightLeaders.Value(); got != leaders {
+		t.Errorf("egs_singleflight_leaders_total moved from %d to %d: the key was synthesized again", leaders, got)
+	}
+	if got := s.mAssessEvals.Value(); got != evals {
+		t.Errorf("egs_assess_evals_total moved from %d to %d: the key was synthesized again", evals, got)
+	}
+}

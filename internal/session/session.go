@@ -168,14 +168,13 @@ func (s *Session) AddExample(positive bool, rel string, args ...string) error {
 	if !positive && s.base.ClosedWorld {
 		return fmt.Errorf("session: closed-world tasks have no explicit negatives; remove the positive label instead")
 	}
-	key := t.Key()
-	if findTuple(s.pos, key) >= 0 {
+	if findTuple(s.pos, t) >= 0 {
 		if positive {
 			return nil
 		}
 		return fmt.Errorf("session: tuple is labelled positive; use RelabelTuple")
 	}
-	if findTuple(s.neg, key) >= 0 {
+	if findTuple(s.neg, t) >= 0 {
 		if !positive {
 			return nil
 		}
@@ -201,10 +200,9 @@ func (s *Session) RemoveExample(rel string, args ...string) error {
 	if err != nil {
 		return err
 	}
-	key := t.Key()
-	if i := findTuple(s.pos, key); i >= 0 {
+	if i := findTuple(s.pos, t); i >= 0 {
 		s.pos = append(s.pos[:i:i], s.pos[i+1:]...)
-	} else if i := findTuple(s.neg, key); i >= 0 {
+	} else if i := findTuple(s.neg, t); i >= 0 {
 		s.neg = append(s.neg[:i:i], s.neg[i+1:]...)
 	} else {
 		return fmt.Errorf("session: tuple is not labelled")
@@ -226,8 +224,7 @@ func (s *Session) RelabelTuple(positive bool, rel string, args ...string) error 
 	if err != nil {
 		return err
 	}
-	key := t.Key()
-	pi, ni := findTuple(s.pos, key), findTuple(s.neg, key)
+	pi, ni := findTuple(s.pos, t), findTuple(s.neg, t)
 	switch {
 	case positive && pi >= 0, !positive && s.base.ClosedWorld && pi < 0, !positive && !s.base.ClosedWorld && ni >= 0:
 		return nil // already labelled as requested
@@ -344,10 +341,10 @@ func (s *Session) Facts() int {
 // memo.
 func (s *Session) MemoSize() int { return s.memo.Len() }
 
-// findTuple returns the index of the tuple with the given key, or -1.
-func findTuple(ts []relation.Tuple, key string) int {
+// findTuple returns the index of tuple t in ts, or -1.
+func findTuple(ts []relation.Tuple, t relation.Tuple) int {
 	for i := range ts {
-		if ts[i].Key() == key {
+		if ts[i].Equal(t) {
 			return i
 		}
 	}

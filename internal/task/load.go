@@ -300,23 +300,30 @@ func (t *Task) parseFact(line string, pos parser.Pos) error {
 // deduplicating would mask it. Conflicting labels are rejected here
 // too, with the same wording Prepare uses for programmatic tasks.
 func (t *Task) recordExample(tuple relation.Tuple, sign byte) error {
-	if t.seenExamples == nil {
-		t.seenExamples = make(map[string]byte)
+	id := int32(2 * len(t.Pos))
+	if sign == '-' {
+		id = int32(2*len(t.Neg) + 1)
 	}
-	key := tuple.Key()
-	prev, ok := t.seenExamples[key]
-	if !ok {
-		t.seenExamples[key] = sign
+	prev, added := t.seenExamples.Insert(tuple, id, t.exampleAt)
+	if added {
 		return nil
 	}
 	rendered := tuple.String(t.Schema, t.Domain)
-	if prev != sign {
+	if prev%2 != id%2 {
 		return fmt.Errorf("tuple %s labelled both positive and negative", rendered)
 	}
 	if sign == '+' {
 		return fmt.Errorf("duplicate positive example %s", rendered)
 	}
 	return fmt.Errorf("duplicate negative example %s", rendered)
+}
+
+// exampleAt resolves a seenExamples id: 2i names Pos[i], 2i+1 Neg[i].
+func (t *Task) exampleAt(id int32) relation.Tuple {
+	if id%2 == 0 {
+		return t.Pos[id/2]
+	}
+	return t.Neg[id/2]
 }
 
 // LoadDir loads every .task file under dir (recursively), sorted by

@@ -111,9 +111,9 @@ type Task struct {
 
 	prepared bool
 	example  *Example
-	// seenExamples tracks labelled tuples during Parse so duplicate
-	// example lines are rejected; see recordExample.
-	seenExamples map[string]byte
+	// seenExamples indexes the labelled tuples seen during Parse so
+	// duplicate example lines are rejected; see recordExample.
+	seenExamples relation.Index
 }
 
 // Example is the oracle view of a task used by the synthesizers: it
@@ -122,9 +122,9 @@ type Task struct {
 //
 // Full-arity example sets (O+ and the explicit O-) are TupleSets over
 // the database's dense ids, so the membership tests in the
-// synthesizers' inner loops are bitset probes. Slice (prefix) data
-// stays string-keyed: i-slices for i < k are not ground tuples and
-// have no TupleID.
+// synthesizers' inner loops are bitset probes. The distinct i-slices
+// of O+ and O- (1 <= i <= k) get dense slice ids from one identity
+// index, keyed by the tuple (Rel, Args[:i]).
 type Example struct {
 	DB          *relation.Database
 	DomainSize  int // |D|: constants occurring in input tuples
@@ -134,25 +134,47 @@ type Example struct {
 
 	// posIDs is O+ as a bitset over DB's interned ids.
 	posIDs *relation.TupleSet
-	// posPrefix holds SliceKey(i) for every positive tuple and every
-	// 1 <= i <= k. Under closed-world labelling an i-slice is
-	// forbidden iff it is absent from this set.
-	posPrefix map[string]bool
-	// posPrefixCount[i] is the number of distinct i-slices of O+,
-	// grouped per relation in the key, used to compute |F_i|.
-	posPrefixPerLen []map[string]bool
-
 	// negIDs is the explicit O- as a bitset (empty under closed
 	// world).
 	negIDs *relation.TupleSet
-	// negPrefixCount maps an i-slice key to the number of distinct
-	// negative tuples extending it (explicit labelling only).
-	negPrefixCount []map[string]int
-	// negForbidden caches, per slice length, the keys whose every
-	// extension is negative.
-	negForbidden []map[string]bool
+
+	// slices maps each i-slice of an example tuple to its slice id;
+	// sliceKeys[id] is the slice (sharing the example tuple's args).
+	slices    relation.Index
+	sliceKeys []relation.Tuple
+	// sliceForbidden[id] reports whether the slice lies in F_i. Under
+	// closed-world labelling an i-slice is forbidden iff no positive
+	// tuple extends it; under explicit labelling iff every one of its
+	// |D|^(k-i) extensions is an explicit negative. A slice absent from
+	// the index is forbidden exactly under closed-world labelling.
+	sliceForbidden []bool
+	// classCount[(rel, i)] is the number of distinct positive i-slices
+	// of rel (closed world) or of forbidden ones (explicit labelling):
+	// the data behind CountForbidden, counted once here.
+	classCount map[sliceClass]uint64
 
 	maxArity int
+}
+
+// sliceClass names the i-slices of one output relation.
+type sliceClass struct {
+	rel relation.RelID
+	i   int
+}
+
+func (e *Example) sliceAt(id int32) relation.Tuple { return e.sliceKeys[id] }
+
+// slice returns the id of the i-slice of t, registering it when new.
+// A new slice starts forbidden under closed-world labelling (until a
+// positive extends it) and allowed under explicit labelling.
+func (e *Example) slice(t relation.Tuple, i int) int32 {
+	key := relation.Tuple{Rel: t.Rel, Args: t.Args[:i]}
+	id, added := e.slices.Insert(key, int32(len(e.sliceKeys)), e.sliceAt)
+	if added {
+		e.sliceKeys = append(e.sliceKeys, key)
+		e.sliceForbidden = append(e.sliceForbidden, e.ClosedWorld)
+	}
+	return id
 }
 
 // Prepare finalizes the task: it computes the data domain, checks
@@ -176,58 +198,49 @@ func (t *Task) Prepare() error {
 		ClosedWorld: t.ClosedWorld,
 		Pos:         t.Pos,
 		posIDs:      &relation.TupleSet{},
-		posPrefix:   make(map[string]bool),
 		negIDs:      &relation.TupleSet{},
+		classCount:  make(map[sliceClass]uint64),
 	}
 	for _, p := range t.Pos {
-		if len(p.Args) > ex.maxArity {
-			ex.maxArity = len(p.Args)
-		}
-	}
-	for _, n := range t.Neg {
-		if len(n.Args) > ex.maxArity {
-			ex.maxArity = len(n.Args)
-		}
-	}
-	ex.posPrefixPerLen = make([]map[string]bool, ex.maxArity+1)
-	ex.negPrefixCount = make([]map[string]int, ex.maxArity+1)
-	ex.negForbidden = make([]map[string]bool, ex.maxArity+1)
-	for i := range ex.posPrefixPerLen {
-		ex.posPrefixPerLen[i] = make(map[string]bool)
-		ex.negPrefixCount[i] = make(map[string]int)
-		ex.negForbidden[i] = make(map[string]bool)
-	}
-	for _, p := range t.Pos {
+		ex.maxArity = max(ex.maxArity, len(p.Args))
 		ex.posIDs.Add(t.Input.InternTuple(p))
 		for i := 1; i <= len(p.Args); i++ {
-			k := p.SliceKey(i)
-			ex.posPrefix[k] = true
-			ex.posPrefixPerLen[i][k] = true
+			ex.sliceForbidden[ex.slice(p, i)] = false
 		}
 	}
+	// negCount[id] is the number of distinct explicit negatives
+	// extending slice id.
+	var negCount []uint64
 	for _, n := range t.Neg {
+		ex.maxArity = max(ex.maxArity, len(n.Args))
 		if !ex.negIDs.Add(t.Input.InternTuple(n)) {
 			continue
 		}
 		for i := 1; i <= len(n.Args); i++ {
-			ex.negPrefixCount[i][n.SliceKey(i)]++
+			id := ex.slice(n, i)
+			for int(id) >= len(negCount) {
+				negCount = append(negCount, 0)
+			}
+			negCount[id]++
 		}
 	}
-	// Precompute forbidden slices for explicit labelling: an i-slice
-	// is forbidden iff all |D|^(k-i) extensions are negative.
+	// Under explicit labelling an i-slice is forbidden iff all
+	// |D|^(k-i) extensions are negative.
 	if !t.ClosedWorld {
 		for _, n := range t.Neg {
 			k := len(n.Args)
 			for i := 1; i <= k; i++ {
-				key := n.SliceKey(i)
-				if ex.negForbidden[i][key] {
-					continue
-				}
+				id := ex.slice(n, i)
 				want, ok := powUint(uint64(ex.DomainSize), k-i)
-				if ok && uint64(ex.negPrefixCount[i][key]) >= want {
-					ex.negForbidden[i][key] = true
+				if ok && negCount[id] >= want {
+					ex.sliceForbidden[id] = true
 				}
 			}
+		}
+	}
+	for id, key := range ex.sliceKeys {
+		if ex.sliceForbidden[id] != t.ClosedWorld {
+			ex.classCount[sliceClass{key.Rel, len(key.Args)}]++
 		}
 	}
 	t.example = ex
@@ -505,20 +518,18 @@ func (e *Example) ForbiddenSlice(t relation.Tuple, i int) bool {
 	if i >= len(t.Args) {
 		return e.IsNegative(t)
 	}
-	return e.ForbiddenPrefixKey(t.SliceKey(i), i)
+	return e.ForbiddenPrefix(relation.Tuple{Rel: t.Rel, Args: t.Args[:i]})
 }
 
-// ForbiddenPrefixKey is ForbiddenSlice for a proper slice (i < k)
-// whose SliceKey(i) has already been computed. Full-arity slices are
-// ground tuples; test those with IsNegativeID.
-func (e *Example) ForbiddenPrefixKey(key string, i int) bool {
-	if e.ClosedWorld {
-		return !e.posPrefix[key]
+// ForbiddenPrefix is ForbiddenSlice for a proper i-slice given as the
+// tuple (Rel, t[1..i]) itself — the head tuple a slice rule derives.
+// Full-arity slices are ground tuples; test those with IsNegativeID.
+func (e *Example) ForbiddenPrefix(s relation.Tuple) bool {
+	id, ok := e.slices.Find(s, e.sliceAt)
+	if !ok {
+		return e.ClosedWorld
 	}
-	if i < len(e.negForbidden) {
-		return e.negForbidden[i][key]
-	}
-	return false
+	return e.sliceForbidden[id]
 }
 
 // CountForbidden returns |F_i| for output relation rel of arity k:
@@ -526,44 +537,21 @@ func (e *Example) ForbiddenPrefixKey(key string, i int) bool {
 // The bool result is false if the count overflows uint64 (treated by
 // callers as "astronomically large").
 func (e *Example) CountForbidden(rel relation.RelID, i, k int) (uint64, bool) {
-	if e.ClosedWorld {
-		total, ok := powUint(uint64(e.DomainSize), i)
-		if !ok {
-			return 0, false
-		}
-		// Count distinct i-prefixes of positive tuples over rel.
-		n := uint64(0)
-		if i < len(e.posPrefixPerLen) {
-			for key := range e.posPrefixPerLen[i] {
-				if sliceKeyRel(key) == rel {
-					n++
-				}
-			}
-		} else {
-			return total, true
-		}
-		if n > total {
-			return 0, true
-		}
-		return total - n, true
+	n := e.classCount[sliceClass{rel, i}]
+	if !e.ClosedWorld {
+		return n, true
 	}
-	n := uint64(0)
-	if i < len(e.negForbidden) {
-		for key := range e.negForbidden[i] {
-			if sliceKeyRel(key) == rel {
-				n++
-			}
-		}
+	total, ok := powUint(uint64(e.DomainSize), i)
+	if !ok {
+		return 0, false
 	}
-	return n, true
-}
-
-// sliceKeyRel decodes the relation id from a Tuple.Key/SliceKey.
-func sliceKeyRel(key string) relation.RelID {
-	if len(key) < 4 {
-		return -1
+	if i > e.maxArity {
+		return total, true
 	}
-	return relation.RelID(uint32(key[0]) | uint32(key[1])<<8 | uint32(key[2])<<16 | uint32(key[3])<<24)
+	if n > total {
+		return 0, true
+	}
+	return total - n, true
 }
 
 // Consistent reports whether query q is consistent with the example:

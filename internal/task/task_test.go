@@ -2,6 +2,7 @@ package task
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -294,7 +295,17 @@ func TestDuplicateExamplesRejected(t *testing.T) {
 // against a direct materialization of Equation 7 on random explicit
 // examples.
 func TestForbiddenSliceMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
+	checkSliceOracle(t, false, 3)
+}
+
+// TestForbiddenSliceMatchesBruteForceClosedWorld is the same cross-check
+// under closed-world labelling, where every unlabelled tuple is negative.
+func TestForbiddenSliceMatchesBruteForceClosedWorld(t *testing.T) {
+	checkSliceOracle(t, true, 5)
+}
+
+func checkSliceOracle(t *testing.T, closed bool, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
 	for trial := 0; trial < 200; trial++ {
 		nConst := 2 + rng.Intn(3)
 		k := 1 + rng.Intn(3)
@@ -303,14 +314,14 @@ func TestForbiddenSliceMatchesBruteForce(t *testing.T) {
 		d := relation.NewDomain()
 		p := s.MustDeclare("p", 1, relation.Input)
 		out := s.MustDeclare("out", k, relation.Output)
-		tk := &Task{Schema: s, Domain: d}
+		tk := &Task{Schema: s, Domain: d, ClosedWorld: closed}
 		tk.Input = relation.NewDatabase(s, d)
 		consts := make([]relation.Const, nConst)
 		for i := range consts {
 			consts[i] = d.Intern(string(rune('a' + i)))
 			tk.Input.Insert(relation.NewTuple(p, consts[i]))
 		}
-		// Random labelling of D^k.
+		// Random labelling of D^k; neg[j] labels all[j].
 		var all [][]relation.Const
 		var build func(prefix []relation.Const)
 		build = func(prefix []relation.Const) {
@@ -323,14 +334,18 @@ func TestForbiddenSliceMatchesBruteForce(t *testing.T) {
 			}
 		}
 		build(nil)
-		negSet := map[string]bool{}
-		for _, args := range all {
+		neg := make([]bool, len(all))
+		for j, args := range all {
 			switch rng.Intn(3) {
 			case 0:
 				tk.Pos = append(tk.Pos, relation.Tuple{Rel: out, Args: args})
 			case 1:
-				tk.Neg = append(tk.Neg, relation.Tuple{Rel: out, Args: args})
-				negSet[relation.ArgsKey(args)] = true
+				neg[j] = true
+				if !closed {
+					tk.Neg = append(tk.Neg, relation.Tuple{Rel: out, Args: args})
+				}
+			default:
+				neg[j] = closed
 			}
 		}
 		if err := tk.Prepare(); err != nil {
@@ -339,30 +354,35 @@ func TestForbiddenSliceMatchesBruteForce(t *testing.T) {
 		ex := tk.Example()
 		for i := 1; i <= k; i++ {
 			// Brute force F_i: slices whose every extension is negative.
-			forbidden := map[string]bool{}
-			prefixes := map[string][]relation.Const{}
+			var prefixes [][]relation.Const
 			for _, args := range all {
-				prefixes[relation.ArgsKey(args[:i])] = args[:i]
+				if !slices.ContainsFunc(prefixes, func(q []relation.Const) bool { return slices.Equal(q, args[:i]) }) {
+					prefixes = append(prefixes, args[:i])
+				}
 			}
-			for key, prefix := range prefixes {
+			forbidden := 0
+			for _, prefix := range prefixes {
 				allNeg := true
-				for _, args := range all {
-					if relation.ArgsKey(args[:i]) == key && !negSet[relation.ArgsKey(args)] {
+				for j, args := range all {
+					if slices.Equal(args[:i], prefix) && !neg[j] {
 						allNeg = false
 						break
 					}
 				}
 				if allNeg {
-					forbidden[key] = true
+					forbidden++
 				}
 				got := ex.ForbiddenSlice(relation.Tuple{Rel: out, Args: append(append([]relation.Const(nil), prefix...), make([]relation.Const, k-i)...)}, i)
 				if got != allNeg {
 					t.Fatalf("trial %d slice len %d: oracle=%v brute=%v", trial, i, got, allNeg)
 				}
+				if i < k && ex.ForbiddenPrefix(relation.Tuple{Rel: out, Args: prefix}) != allNeg {
+					t.Fatalf("trial %d slice len %d: ForbiddenPrefix disagrees with brute force", trial, i)
+				}
 			}
 			n, ok := ex.CountForbidden(out, i, k)
-			if !ok || n != uint64(len(forbidden)) {
-				t.Fatalf("trial %d: CountForbidden(%d) = %d, want %d", trial, i, n, len(forbidden))
+			if !ok || n != uint64(forbidden) {
+				t.Fatalf("trial %d: CountForbidden(%d) = %d, want %d", trial, i, n, forbidden)
 			}
 		}
 	}
