@@ -51,6 +51,11 @@ func (p *cellParams) score(derivedForbidden, size int) float64 {
 // those inputs are unchanged. Equal keys also imply equal body length
 // |C|, hence equal score denominators.
 //
+// The memo is keyed by the canonical byte image of the rule
+// (query.Canon), which is equal for two rules exactly when their
+// CanonicalKeys are; prepare builds it straight from the context's
+// tuples, and generalize builds the rule itself only on a miss.
+//
 // The memo is shared at least across cells and targets of one
 // searcher: rules learned while explaining different positive tuples
 // of the same output relation frequently re-derive the same candidate
@@ -65,13 +70,16 @@ type assessor struct {
 // context's consistent/score fields (Step 3b of Algorithm 1 plus the
 // Section 4.3 priority). A context whose head constants are missing
 // from C is inadmissible: never consistent and of minimal priority.
-// assess is safe for concurrent use; the only shared mutations are the
-// memo and Database.InternTuple, both locked.
-func (a *assessor) assess(c *ectx, p *cellParams) {
-	sl := assessSlot{c: c}
-	a.prepare(&sl, p)
+// sl is the caller's scratch; a memo hit allocates nothing once it has
+// grown. assess is safe for concurrent use with distinct slots; the
+// only shared mutations are the memo and Database.InternTuple, both
+// locked.
+func (a *assessor) assess(sl *assessSlot, c *ectx, p *cellParams) {
+	sl.reset(c)
+	a.prepare(sl, p)
 	if sl.state == slotMiss {
-		a.evaluate(&sl, p)
+		sl.memoKey = string(sl.key)
+		a.evaluate(sl, p)
 	}
 	sl.finish(p)
 }
@@ -87,28 +95,116 @@ const (
 )
 
 // assessSlot carries one context's assessment through its stages:
-// prepare (generalize, canonical key, memo lookup), evaluate (misses
-// only), and finish. A parallel batch runs the first two stages on the
-// pool; see searcher.assessBatch.
+// prepare (canonical key and memo lookup), evaluate (misses only), and
+// finish. A parallel batch runs the first two stages on the pool; see
+// searcher.assessBatch. The slot owns the scratch prepare fills and
+// keeps it across contexts.
 type assessSlot struct {
-	c       *ectx
-	rule    query.Rule
-	key     string
+	c *ectx
+	// key is the canonical image of the context's rule; it lives in
+	// scr and is valid until the slot's next prepare. memoKey is its
+	// string copy, made once per miss for the memo to keep.
+	key     []byte
+	memoKey string
 	derived int
 	state   slotState
 	first   int // slotDup: index of the batch's first miss with this key
+	scr     keyScratch
 }
 
-// prepare generalizes the context, computes its canonical key, and
-// consults the memo.
+// reset readies the slot for assessing c, keeping its scratch.
+func (sl *assessSlot) reset(c *ectx) {
+	sl.c, sl.key, sl.memoKey = c, nil, ""
+	sl.derived, sl.state, sl.first = 0, slotMiss, 0
+}
+
+// keyScratch is the reusable memory of prepare: the context's rule
+// r_{C -> t[1..i]} in query.Canon's flat form, the constants
+// generalized so far (consts[v] became variable v), and the body
+// relations the memo's stamps read.
+type keyScratch struct {
+	canon  query.Canon
+	consts []relation.Const
+	// byConst indexes consts once a context has more than
+	// linearConsts of them (the Lemma 4.2 probe of all of I); nil
+	// otherwise, when a linear scan is cheaper.
+	byConst map[relation.Const]query.Var
+	rels    []relation.RelID
+}
+
+const linearConsts = 64
+
+// load fills the scratch with r_{C -> t[1..i]} for the sorted context
+// ids, naming variables exactly as generalize does (body tuples in id
+// order, constants by first occurrence), and returns the rule's
+// canonical image. ok is false when a head constant does not occur in
+// the context, so the context is inadmissible.
+func (s *keyScratch) load(db *relation.Database, ids []relation.TupleID, target relation.Tuple, i int) ([]byte, bool) {
+	s.canon.Reset()
+	s.consts, s.rels, s.byConst = s.consts[:0], s.rels[:0], nil
+	for _, id := range ids {
+		tu := db.Tuple(id)
+		s.rels = append(s.rels, tu.Rel)
+		args := s.canon.AddBody(tu.Rel, len(tu.Args))
+		for ai, c := range tu.Args {
+			args[ai] = query.V(s.varFor(c))
+		}
+	}
+	head := s.canon.SetHead(target.Rel, i)
+	for ai := range head {
+		v, ok := s.varOf(target.Args[ai])
+		if !ok {
+			return nil, false
+		}
+		head[ai] = query.V(v)
+	}
+	return s.canon.Canonicalize(), true
+}
+
+// varOf returns the variable constant c was generalized to.
+func (s *keyScratch) varOf(c relation.Const) (query.Var, bool) {
+	if s.byConst != nil {
+		v, ok := s.byConst[c]
+		return v, ok
+	}
+	for v, d := range s.consts {
+		if d == c {
+			return query.Var(v), true
+		}
+	}
+	return 0, false
+}
+
+// varFor returns c's variable, assigning the next fresh one on first
+// sight.
+func (s *keyScratch) varFor(c relation.Const) query.Var {
+	if v, ok := s.varOf(c); ok {
+		return v
+	}
+	v := query.Var(len(s.consts))
+	s.consts = append(s.consts, c)
+	switch {
+	case s.byConst != nil:
+		s.byConst[c] = v
+	case len(s.consts) > linearConsts:
+		s.byConst = make(map[relation.Const]query.Var, 2*len(s.consts))
+		for w, d := range s.consts {
+			s.byConst[d] = query.Var(w)
+		}
+	}
+	return v
+}
+
+// prepare computes the context's canonical key in the slot's scratch
+// and consults the memo.
 func (a *assessor) prepare(sl *assessSlot, p *cellParams) {
-	rule, ok := generalize(a.ex.DB, sl.c.ids, p.target, p.i)
+	key, ok := sl.scr.load(a.ex.DB, sl.c.ids, p.target, p.i)
 	if !ok {
 		sl.state = slotInadmissible
 		return
 	}
-	sl.rule, sl.key = rule, rule.CanonicalKey()
-	derived, hit := a.memo.lookup(sl.key, &sl.rule, a.ex)
+	sl.key = key
+	derived, hit := a.memo.lookup(key, sl.scr.rels, p.target.Rel, a.ex)
 	if hit {
 		sl.state, sl.derived = slotHit, derived
 	} else {
@@ -116,12 +212,14 @@ func (a *assessor) prepare(sl *assessSlot, p *cellParams) {
 	}
 }
 
-// evaluate runs a missed rule and stores the result in the memo.
+// evaluate generalizes a missed context, runs its rule, and stores the
+// result in the memo under sl.memoKey.
 func (a *assessor) evaluate(sl *assessSlot, p *cellParams) {
+	rule, _ := generalize(a.ex.DB, sl.c.ids, p.target, p.i)
 	var outs []relation.TupleID
-	sl.derived, outs = forbiddenDerived(a.ex, sl.rule, p.i, len(p.target.Args))
+	sl.derived, outs = forbiddenDerived(a.ex, rule, p.i, len(p.target.Args))
 	sl.c.evals = 1
-	a.memo.store(sl.key, &sl.rule, sl.derived, outs)
+	a.memo.store(sl.memoKey, sl.scr.rels, p.target.Rel, sl.derived, outs)
 }
 
 // finish fills the context's verdict and score from the slot.

@@ -127,20 +127,6 @@ func (s *ectxSlab) alloc() *ectx {
 	return &s.chunk[len(s.chunk)-1]
 }
 
-// extend returns a new sorted id set ids ∪ {id}; ok is false when id
-// is already present.
-func extend(ids []relation.TupleID, id relation.TupleID) ([]relation.TupleID, bool) {
-	i := sort.Search(len(ids), func(k int) bool { return ids[k] >= id })
-	if i < len(ids) && ids[i] == id {
-		return nil, false
-	}
-	out := make([]relation.TupleID, 0, len(ids)+1)
-	out = append(out, ids[:i]...)
-	out = append(out, id)
-	out = append(out, ids[i:]...)
-	return out, true
-}
-
 func containsID(ids []relation.TupleID, id relation.TupleID) bool {
 	i := sort.Search(len(ids), func(k int) bool { return ids[k] >= id })
 	return i < len(ids) && ids[i] == id

@@ -11,41 +11,38 @@ import (
 )
 
 func TestExtendKeepsSorted(t *testing.T) {
+	var a idArena
 	ids := []relation.TupleID{2, 5, 9}
-	out, fresh := extend(ids, 7)
-	if !fresh {
-		t.Fatal("7 reported as duplicate")
-	}
+	out := a.extend(ids, 7)
 	want := []relation.TupleID{2, 5, 7, 9}
 	for i := range want {
 		if out[i] != want[i] {
 			t.Fatalf("extend = %v, want %v", out, want)
 		}
 	}
-	if _, fresh := extend(ids, 5); fresh {
-		t.Error("duplicate insert reported fresh")
+	// Callers filter duplicates with containsID before extending.
+	if !containsID(ids, 5) {
+		t.Error("duplicate not detected")
 	}
 	// The input must not be mutated.
 	if len(ids) != 3 || ids[0] != 2 || ids[2] != 9 {
 		t.Errorf("input mutated: %v", ids)
 	}
 	// Extend at the ends.
-	out, _ = extend(ids, 1)
-	if out[0] != 1 {
+	if out := a.extend(ids, 1); out[0] != 1 {
 		t.Errorf("prepend failed: %v", out)
 	}
-	out, _ = extend(ids, 12)
-	if out[3] != 12 {
+	if out := a.extend(ids, 12); out[3] != 12 {
 		t.Errorf("append failed: %v", out)
 	}
 	// Extend the empty context.
-	out, fresh = extend(nil, 4)
-	if !fresh || len(out) != 1 || out[0] != 4 {
-		t.Errorf("extend(nil) = %v, %v", out, fresh)
+	if out := a.extend(nil, 4); len(out) != 1 || out[0] != 4 {
+		t.Errorf("extend(nil) = %v", out)
 	}
 }
 
 func TestExtendQuick(t *testing.T) {
+	var a idArena
 	f := func(raw []uint16, x uint16) bool {
 		ids := make([]relation.TupleID, 0, len(raw))
 		seen := map[relation.TupleID]bool{}
@@ -57,14 +54,14 @@ func TestExtendQuick(t *testing.T) {
 			}
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		out, fresh := extend(ids, relation.TupleID(x))
-		if fresh == seen[relation.TupleID(x)] {
+		if containsID(ids, relation.TupleID(x)) != seen[relation.TupleID(x)] {
 			return false
 		}
-		if !fresh {
+		if seen[relation.TupleID(x)] {
 			return true
 		}
-		if len(out) != len(ids)+1 {
+		out := a.extend(ids, relation.TupleID(x))
+		if len(out) != len(ids)+1 || cap(out) != len(out) {
 			return false
 		}
 		for i := 0; i+1 < len(out); i++ {
@@ -265,8 +262,9 @@ func TestAssessScoreMatchesDefinition(t *testing.T) {
 	if !p.countKnown {
 		t.Fatal("CountForbidden overflow")
 	}
+	var sl assessSlot
 	c := &ectx{ids: []relation.TupleID{id}}
-	a.assess(c, &p)
+	a.assess(&sl, c, &p)
 	if c.evals != 1 || c.memoHit {
 		t.Errorf("first assessment: evals = %d, memoHit = %v", c.evals, c.memoHit)
 	}
@@ -289,7 +287,7 @@ func TestAssessScoreMatchesDefinition(t *testing.T) {
 	p2 := cellParams{target: relation.NewTuple(crashes, broadway), i: 1}
 	p2.totalForbidden, p2.countKnown = p.totalForbidden, p.countKnown
 	c2 := &ectx{ids: []relation.TupleID{id2}}
-	a.assess(c2, &p2)
+	a.assess(&sl, c2, &p2)
 	if !c2.memoHit || c2.evals != 0 {
 		t.Errorf("alpha-equivalent context missed memo: evals = %d, memoHit = %v", c2.evals, c2.memoHit)
 	}
@@ -302,7 +300,7 @@ func TestAssessScoreMatchesDefinition(t *testing.T) {
 	// never consistent and sorts below every admissible context.
 	libertySt, _ := tk.Domain.Lookup("LibertySt")
 	c3 := &ectx{ids: []relation.TupleID{id}}
-	a.assess(c3, &cellParams{target: relation.NewTuple(crashes, libertySt), i: 1})
+	a.assess(&sl, c3, &cellParams{target: relation.NewTuple(crashes, libertySt), i: 1})
 	if c3.consistent || !math.IsInf(c3.score, -1) {
 		t.Errorf("inadmissible context: consistent = %v, score = %v", c3.consistent, c3.score)
 	}

@@ -309,9 +309,10 @@ func TestMemoReducesRuleEvals(t *testing.T) {
 }
 
 // TestConcurrentAssessRace drives many assessors concurrently against
-// one shared example — concurrent generalize/EvalRule traffic through
-// Database.InternTuple and the shared memo — so `go test -race`
-// exercises the lock-free read path and the memo lock. The assertions
+// one shared example — concurrent key building, generalize/EvalRule
+// traffic through Database.InternTuple, and the shared memo — so `go
+// test -race` exercises the lock-free read path, the per-slot scratch,
+// and the memo lock. The assertions
 // are secondary; the race detector is the point.
 func TestConcurrentAssessRace(t *testing.T) {
 	tk, err := task.Load("../../testdata/benchmarks/knowledge-discovery/kinship.task")
@@ -337,19 +338,19 @@ func TestConcurrentAssessRace(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			// Each goroutine owns its slot and arena, as a searcher
+			// and a pooled batch position do.
+			var sl assessSlot
+			var arena idArena
 			for rep := 0; rep < 20; rep++ {
 				id := seeds[(w+rep)%len(seeds)]
-				c := &ectx{ids: []relation.TupleID{id}}
-				asr.assess(c, p)
+				c := &ectx{ids: arena.copy([]relation.TupleID{id})}
+				asr.assess(&sl, c, p)
 				// Grow one two-tuple context too, to intern fresh
 				// derived tuples from several goroutines at once.
 				for _, other := range db.Mentioning(target.Args[0]) {
 					if other != id {
-						c2 := &ectx{}
-						var fresh bool
-						if c2.ids, fresh = extend([]relation.TupleID{id}, other); fresh {
-							asr.assess(c2, p)
-						}
+						asr.assess(&sl, &ectx{ids: arena.extend(c.ids, other)}, p)
 						break
 					}
 				}

@@ -222,10 +222,13 @@ type searcher struct {
 	failure *UnsatWitness
 
 	// asr memoizes rule evaluations by canonical key across the whole
-	// run; pool (nil when AssessParallelism <= 1) fans batches of
-	// assessments out to workers, with slots and firstMiss as the
-	// batch scratch of assessBatch.
+	// run; seqSlot is the scratch of sequential assessment. pool (nil
+	// when AssessParallelism <= 1) fans batches of assessments out to
+	// workers; slots (one per batch position, each with its own
+	// scratch, reused across batches) and firstMiss are the batch
+	// scratch of assessBatch.
 	asr       assessor
+	seqSlot   assessSlot
 	pool      *assessPool
 	slots     []assessSlot
 	firstMiss map[string]int
@@ -336,7 +339,7 @@ func (s *searcher) explainCellMulti(base []relation.TupleID, target relation.Tup
 		// Lemma 4.2 fast path: the maximal context base ∪ I. Since
 		// base ⊆ I this is just all of I.
 		probe := &ectx{ids: db.AllIDs()}
-		s.asr.assess(probe, &p)
+		s.asr.assess(&s.seqSlot, probe, &p)
 		if !probe.consistent {
 			s.failure = &UnsatWitness{ViaLemma42: true}
 			return nil, nil
@@ -410,7 +413,7 @@ func (s *searcher) explainCellMulti(base []relation.TupleID, target relation.Tup
 			s.assessBatch(pending, &p)
 		} else {
 			for _, c := range pending {
-				s.asr.assess(c, &p)
+				s.asr.assess(&s.seqSlot, c, &p)
 			}
 		}
 		var assessed int64
@@ -523,17 +526,21 @@ func (s *searcher) explainCellMulti(base []relation.TupleID, target relation.Tup
 }
 
 // assessBatch assesses a staged batch on the pool and yields the
-// verdicts and counters of a sequential pass. Generalization,
-// canonical keys, and memo lookups run in parallel first. Then,
+// verdicts and counters of a sequential pass. Canonical keys and memo
+// lookups run in parallel first, each slot in its own scratch. Then,
 // sequentially in staging order, every later miss sharing a key with
 // an earlier miss of the batch becomes a memo hit on it — a sequential
 // pass would find the first one's stored result. Only the remaining
-// unique misses are evaluated, in parallel. The counters are thus a
-// pure function of the input, and no join runs twice.
+// unique misses are generalized and evaluated, in parallel. The
+// counters are thus a pure function of the input, and no join runs
+// twice.
 func (s *searcher) assessBatch(batch []*ectx, p *cellParams) {
-	slots := s.slots[:0]
-	for _, c := range batch {
-		slots = append(slots, assessSlot{c: c})
+	for len(s.slots) < len(batch) {
+		s.slots = append(s.slots, assessSlot{})
+	}
+	slots := s.slots[:len(batch)]
+	for i, c := range batch {
+		slots[i].reset(c)
 	}
 	s.runStage(slots, p, false)
 	if s.firstMiss == nil {
@@ -544,11 +551,12 @@ func (s *searcher) assessBatch(batch []*ectx, p *cellParams) {
 		if sl.state != slotMiss {
 			continue
 		}
-		if j, ok := s.firstMiss[sl.key]; ok {
+		if j, ok := s.firstMiss[string(sl.key)]; ok {
 			sl.state, sl.first = slotDup, j
 			continue
 		}
-		s.firstMiss[sl.key] = i
+		sl.memoKey = string(sl.key)
+		s.firstMiss[sl.memoKey] = i
 	}
 	clear(s.firstMiss)
 	s.runStage(slots, p, true)
@@ -559,8 +567,9 @@ func (s *searcher) assessBatch(batch []*ectx, p *cellParams) {
 		}
 		sl.finish(p)
 	}
-	clear(slots) // drop the rules and keys
-	s.slots = slots[:0]
+	for i := range slots {
+		slots[i].reset(nil) // drop the context and key; keep the scratch
+	}
 }
 
 // runStage runs one assessment stage on the pool and waits for it:

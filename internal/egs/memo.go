@@ -1,19 +1,20 @@
 package egs
 
 import (
+	"slices"
 	"sync"
 
-	"github.com/egs-synthesis/egs/internal/query"
 	"github.com/egs-synthesis/egs/internal/relation"
 	"github.com/egs-synthesis/egs/internal/task"
 )
 
-// Memo caches candidate-rule assessments — CanonicalKey to the number
-// of derived forbidden i-slices — with validity stamps so a memo can
-// outlive the task revision it was built on. A fresh Memo behind a
-// single synthesis run behaves exactly like the PR 3 per-searcher
-// memo; an incremental session passes one Memo (Options.Memo) across
-// revisions and tells it which inputs each delta touched:
+// Memo caches candidate-rule assessments — the canonical byte image
+// of the rule (query.Canon) to the number of derived forbidden
+// i-slices — with validity stamps so a memo can outlive the task
+// revision it was built on. A fresh Memo behind a single synthesis
+// run behaves exactly like a per-searcher memo; an incremental
+// session passes one Memo (Options.Memo) across revisions and tells it
+// which inputs each delta touched:
 //
 //   - BumpFact(rel) after inserting facts into rel: every entry whose
 //     rule body reads rel re-evaluates (its join output may change).
@@ -102,45 +103,41 @@ func (m *Memo) BumpDomain() {
 	m.mu.Unlock()
 }
 
-// stamps computes the validity stamps of an entry for rule: the sum
-// of the body relations' fact epochs (each distinct relation counted
-// once) and the head relation's example epoch plus the domain epoch.
-// Callers must hold m.mu.
-func (m *Memo) stamps(rule *query.Rule) (factStamp, exStamp uint64) {
+// stamps computes the validity stamps of an entry whose rule has body
+// relations body and head relation head: the sum of the body
+// relations' fact epochs (each distinct relation counted once) and the
+// head relation's example epoch plus the domain epoch. Callers must
+// hold m.mu.
+func (m *Memo) stamps(body []relation.RelID, head relation.RelID) (factStamp, exStamp uint64) {
 	if m.factEpoch != nil {
-		for i, l := range rule.Body {
-			dup := false
-			for _, prev := range rule.Body[:i] {
-				if prev.Rel == l.Rel {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				factStamp += m.factEpoch[l.Rel]
+		for i, r := range body {
+			if !slices.Contains(body[:i], r) {
+				factStamp += m.factEpoch[r]
 			}
 		}
 	}
 	if m.exEpoch != nil {
-		exStamp = m.exEpoch[rule.Head.Rel]
+		exStamp = m.exEpoch[head]
 	}
 	return factStamp, exStamp + m.domainEpoch
 }
 
-// lookup resolves key against the memo. hit reports that the cached
+// lookup resolves the canonical image key of a rule with body
+// relations body and head relation head. hit reports that the cached
 // (or revalidated) count is valid for the current revision; on a miss
-// the caller must evaluate the rule and store the result. Revalidation
-// — fact stamp current, example stamp stale, output ids on hand —
-// re-probes the stored ids against the example's current labelling,
-// which costs one bitset probe per derived tuple instead of a join.
-func (m *Memo) lookup(key string, rule *query.Rule, ex *task.Example) (derived int, hit bool) {
+// the caller must evaluate the rule and store the result. The lookup
+// does not allocate. Revalidation — fact stamp current, example stamp
+// stale, output ids on hand — re-probes the stored ids against the
+// example's current labelling, which costs one bitset probe per
+// derived tuple instead of a join.
+func (m *Memo) lookup(key []byte, body []relation.RelID, head relation.RelID, ex *task.Example) (derived int, hit bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e, ok := m.entries[key]
+	e, ok := m.entries[string(key)]
 	if !ok {
 		return 0, false
 	}
-	factStamp, exStamp := m.stamps(rule)
+	factStamp, exStamp := m.stamps(body, head)
 	if e.factStamp != factStamp {
 		return 0, false
 	}
@@ -160,15 +157,16 @@ func (m *Memo) lookup(key string, rule *query.Rule, ex *task.Example) (derived i
 	return e.derived, true
 }
 
-// store records an evaluated assessment. outs may be nil (proper
-// slice, or output too large to retain).
-func (m *Memo) store(key string, rule *query.Rule, derived int, outs []relation.TupleID) {
+// store records an evaluated assessment under key, the string form of
+// the rule's canonical image. outs may be nil (proper slice, or output
+// too large to retain).
+func (m *Memo) store(key string, body []relation.RelID, head relation.RelID, derived int, outs []relation.TupleID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.entries == nil {
 		m.entries = make(map[string]*memoEntry)
 	}
-	factStamp, exStamp := m.stamps(rule)
+	factStamp, exStamp := m.stamps(body, head)
 	m.entries[key] = &memoEntry{
 		derived:   derived,
 		factStamp: factStamp,

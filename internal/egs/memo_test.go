@@ -36,14 +36,30 @@ func memoFixture(t *testing.T) (*task.Task, *task.Example, query.Rule) {
 	return tk, ex, rule
 }
 
+// memoKey is what prepare hands the memo for a rule: its canonical
+// image and the relations the validity stamps read.
+type memoKey struct {
+	img  []byte
+	body []relation.RelID
+	head relation.RelID
+}
+
+func memoKeyOf(rule query.Rule) memoKey {
+	k := memoKey{img: canonImage(rule), head: rule.Head.Rel}
+	for _, l := range rule.Body {
+		k.body = append(k.body, l.Rel)
+	}
+	return k
+}
+
 func TestMemoStampsSurviveUnrelatedDeltas(t *testing.T) {
 	tk, ex, rule := memoFixture(t)
 	m := NewMemo()
-	key := rule.CanonicalKey()
+	k := memoKeyOf(rule)
 	derived, outs := forbiddenDerived(ex, rule, 1, 1)
-	m.store(key, &rule, derived, outs)
+	m.store(string(k.img), k.body, k.head, derived, outs)
 
-	if got, hit := m.lookup(key, &rule, ex); !hit || got != derived {
+	if got, hit := m.lookup(k.img, k.body, k.head, ex); !hit || got != derived {
 		t.Fatalf("fresh lookup = %d,%v want %d,true", got, hit, derived)
 	}
 
@@ -51,13 +67,13 @@ func TestMemoStampsSurviveUnrelatedDeltas(t *testing.T) {
 	// the entry.
 	intersects, _ := tk.Schema.Lookup("Intersects")
 	m.BumpFact(intersects)
-	if got, hit := m.lookup(key, &rule, ex); !hit || got != derived {
+	if got, hit := m.lookup(k.img, k.body, k.head, ex); !hit || got != derived {
 		t.Errorf("lookup after unrelated BumpFact = %d,%v want %d,true", got, hit, derived)
 	}
 
 	// An example delta on a different output relation cannot either.
 	m.BumpExample(intersects) // any other rel id works as "other output"
-	if got, hit := m.lookup(key, &rule, ex); !hit || got != derived {
+	if got, hit := m.lookup(k.img, k.body, k.head, ex); !hit || got != derived {
 		t.Errorf("lookup after unrelated BumpExample = %d,%v want %d,true", got, hit, derived)
 	}
 }
@@ -65,19 +81,19 @@ func TestMemoStampsSurviveUnrelatedDeltas(t *testing.T) {
 func TestMemoFactDeltaInvalidates(t *testing.T) {
 	tk, ex, rule := memoFixture(t)
 	m := NewMemo()
-	key := rule.CanonicalKey()
+	k := memoKeyOf(rule)
 	derived, outs := forbiddenDerived(ex, rule, 1, 1)
-	m.store(key, &rule, derived, outs)
+	m.store(string(k.img), k.body, k.head, derived, outs)
 
 	hasTraffic, _ := tk.Schema.Lookup("HasTraffic")
 	m.BumpFact(hasTraffic)
-	if _, hit := m.lookup(key, &rule, ex); hit {
+	if _, hit := m.lookup(k.img, k.body, k.head, ex); hit {
 		t.Error("entry survived a fact delta on a body relation")
 	}
 
 	// Re-storing under the new epoch makes it valid again.
-	m.store(key, &rule, derived, outs)
-	if got, hit := m.lookup(key, &rule, ex); !hit || got != derived {
+	m.store(string(k.img), k.body, k.head, derived, outs)
+	if got, hit := m.lookup(k.img, k.body, k.head, ex); !hit || got != derived {
 		t.Errorf("re-stored lookup = %d,%v want %d,true", got, hit, derived)
 	}
 }
@@ -89,12 +105,12 @@ func TestMemoFactDeltaInvalidates(t *testing.T) {
 func TestMemoExampleDeltaRevalidates(t *testing.T) {
 	tk, ex, rule := memoFixture(t)
 	m := NewMemo()
-	key := rule.CanonicalKey()
+	k := memoKeyOf(rule)
 	derived, outs := forbiddenDerived(ex, rule, 1, 1)
 	if outs == nil {
 		t.Fatal("full-arity assessment did not capture output ids")
 	}
-	m.store(key, &rule, derived, outs)
+	m.store(string(k.img), k.body, k.head, derived, outs)
 
 	crashes, _ := tk.Schema.Lookup("Crashes")
 	m.BumpExample(crashes)
@@ -112,7 +128,7 @@ func TestMemoExampleDeltaRevalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, hit := m.lookup(key, &rule, revised.Example())
+	got, hit := m.lookup(k.img, k.body, k.head, revised.Example())
 	if !hit {
 		t.Fatal("example-only delta missed despite stored output ids")
 	}
@@ -127,13 +143,13 @@ func TestMemoExampleDeltaRevalidates(t *testing.T) {
 func TestMemoExampleDeltaWithoutOutsMisses(t *testing.T) {
 	tk, ex, rule := memoFixture(t)
 	m := NewMemo()
-	key := rule.CanonicalKey()
+	k := memoKeyOf(rule)
 	derived, _ := forbiddenDerived(ex, rule, 1, 1)
-	m.store(key, &rule, derived, nil) // proper-slice-style entry
+	m.store(string(k.img), k.body, k.head, derived, nil) // proper-slice-style entry
 
 	crashes, _ := tk.Schema.Lookup("Crashes")
 	m.BumpExample(crashes)
-	if _, hit := m.lookup(key, &rule, ex); hit {
+	if _, hit := m.lookup(k.img, k.body, k.head, ex); hit {
 		t.Error("entry without output ids survived an example delta on its head")
 	}
 }
@@ -141,10 +157,10 @@ func TestMemoExampleDeltaWithoutOutsMisses(t *testing.T) {
 func TestMemoDomainDeltaInvalidatesViaExampleStamp(t *testing.T) {
 	_, ex, rule := memoFixture(t)
 	m := NewMemo()
-	key := rule.CanonicalKey()
-	m.store(key, &rule, 3, nil)
+	k := memoKeyOf(rule)
+	m.store(string(k.img), k.body, k.head, 3, nil)
 	m.BumpDomain()
-	if _, hit := m.lookup(key, &rule, ex); hit {
+	if _, hit := m.lookup(k.img, k.body, k.head, ex); hit {
 		t.Error("entry without output ids survived a domain delta")
 	}
 }

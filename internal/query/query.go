@@ -11,8 +11,10 @@
 package query
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -237,30 +239,24 @@ func (r Rule) Rename(m map[Var]Var) Rule {
 	return out
 }
 
-// SortBody orders the body literals canonically (by relation id, then
-// argument terms) in place. Two rules that differ only in body order
-// print identically after SortBody + Canonicalize.
-func (r *Rule) SortBody() {
-	sort.SliceStable(r.Body, func(i, j int) bool {
-		return compareLit(r.Body[i], r.Body[j]) < 0
-	})
-}
-
-func compareLit(a, b Literal) int {
-	if a.Rel != b.Rel {
-		if a.Rel < b.Rel {
+// compareAtoms is the canonical literal order: by relation id, then
+// arity, then argument terms, with every variable before every
+// constant.
+func compareAtoms(ra relation.RelID, aa []Term, rb relation.RelID, ab []Term) int {
+	if ra != rb {
+		if ra < rb {
 			return -1
 		}
 		return 1
 	}
-	if len(a.Args) != len(b.Args) {
-		if len(a.Args) < len(b.Args) {
+	if len(aa) != len(ab) {
+		if len(aa) < len(ab) {
 			return -1
 		}
 		return 1
 	}
-	for i := range a.Args {
-		ta, tb := a.Args[i], b.Args[i]
+	for i := range aa {
+		ta, tb := aa[i], ab[i]
 		if ta.IsConst != tb.IsConst {
 			if tb.IsConst {
 				return -1
@@ -318,55 +314,202 @@ func (r Rule) Canonicalize() Rule {
 // a duplicate that survives costs a redundant evaluation, never a
 // lost rule. Use EquivalentTo for exact alpha-equivalence.
 //
-// The key sits on the synthesizer's per-context hot path (it is the
-// assessment-memo key), so the fixpoint works on a single mutable
-// clone with a slice-backed renaming table and renders through
-// strconv rather than fmt; the produced string is unchanged.
+// The fixpoint is Canon's; CanonicalKey renders its result as text.
+// Hot paths hold a Canon and use its byte image instead.
 func (r Rule) CanonicalKey() string {
-	cur := r.Clone()
-	ren := make([]Var, r.NumVars())
-	canonicalizeInPlace(&cur, ren)
-	key := appendRuleKey(make([]byte, 0, 96), cur)
-	var alt []byte
-	for i := 0; i < len(ren)+1; i++ {
-		cur.SortBody()
-		canonicalizeInPlace(&cur, ren)
-		alt = appendRuleKey(alt[:0], cur)
-		if string(alt) == string(key) {
-			break
-		}
-		key, alt = alt, key
-	}
-	return string(key)
+	var c Canon
+	c.Load(r)
+	c.Canonicalize()
+	return string(c.AppendKey(make([]byte, 0, 96)))
 }
 
-// canonicalizeInPlace renames cur's variables to 0,1,2,... in order of
-// first occurrence (head first, then body), mutating the rule. ren is
-// scratch indexed by the current (dense) variable names; it must have
-// at least NumVars entries.
-func canonicalizeInPlace(cur *Rule, ren []Var) {
-	for i := range ren {
-		ren[i] = -1
+// Canon is reusable scratch holding one rule in flat form: literal
+// headers over a shared term buffer, so canonicalization permutes
+// headers and rewrites terms in place. Fill it with Load, or with
+// Reset, AddBody and SetHead; then Canonicalize. The zero value is
+// ready to use, and a Canon reused across rules canonicalizes without
+// allocating once its buffers have grown. A Canon is not safe for
+// concurrent use.
+type Canon struct {
+	terms    []Term
+	head     flatLit
+	body     []flatLit
+	ren      []Var
+	img, alt []byte
+}
+
+// flatLit is a literal whose arguments are terms[off : off+n].
+type flatLit struct {
+	rel    relation.RelID
+	off, n int32
+}
+
+// Reset empties the scratch for a new rule with an empty head.
+func (c *Canon) Reset() {
+	c.terms, c.body, c.head = c.terms[:0], c.body[:0], flatLit{}
+}
+
+// Load replaces the scratch contents with a copy of r.
+func (c *Canon) Load(r Rule) {
+	c.Reset()
+	copy(c.SetHead(r.Head.Rel, len(r.Head.Args)), r.Head.Args)
+	for _, l := range r.Body {
+		copy(c.AddBody(l.Rel, len(l.Args)), l.Args)
+	}
+}
+
+// AddBody appends a body literal over rel with n arguments and returns
+// them for the caller to fill. The slice is valid until the next
+// AddBody or SetHead.
+func (c *Canon) AddBody(rel relation.RelID, n int) []Term {
+	c.body = append(c.body, flatLit{rel: rel, off: int32(len(c.terms)), n: int32(n)})
+	return c.addTerms(n)
+}
+
+// SetHead sets the head literal to rel with n arguments and returns
+// them for the caller to fill, as AddBody does.
+func (c *Canon) SetHead(rel relation.RelID, n int) []Term {
+	c.head = flatLit{rel: rel, off: int32(len(c.terms)), n: int32(n)}
+	return c.addTerms(n)
+}
+
+func (c *Canon) addTerms(n int) []Term {
+	off := len(c.terms)
+	c.terms = slices.Grow(c.terms, n)[:off+n]
+	return c.terms[off : off+n : off+n]
+}
+
+func (c *Canon) args(l flatLit) []Term { return c.terms[l.off : l.off+l.n] }
+
+func (c *Canon) compare(a, b flatLit) int {
+	return compareAtoms(a.rel, c.args(a), b.rel, c.args(b))
+}
+
+// Canonicalize brings the rule to the canonical form CanonicalKey
+// describes and returns its byte image: for the head and then every
+// body literal, the relation id, the arity, and each term (a variable
+// v as 2v, a constant c as 2c+1), all as uvarints. The image is
+// self-delimiting, and two rules have equal images exactly when they
+// have equal CanonicalKeys. It is valid until the next Canonicalize.
+//
+// The fixpoint renames variables by first occurrence (head first),
+// then repeatedly sorts the body stably in canonical literal order and
+// renames again, until the image stops changing or NumVars+1 rounds
+// have run. A round that finds the body already sorted ends the
+// fixpoint without rendering: its sort and its renaming would both be
+// identities, so the image could not change.
+func (c *Canon) Canonicalize() []byte {
+	nv := c.numVars()
+	c.ren = slices.Grow(c.ren[:0], nv)[:nv]
+	c.rename()
+	rendered := false // c.img holds the current form's image
+	for round := 0; round < nv+1; round++ {
+		if slices.IsSortedFunc(c.body, c.compare) {
+			break
+		}
+		if !rendered {
+			c.img = c.appendImage(c.img[:0])
+		}
+		slices.SortStableFunc(c.body, c.compare)
+		c.rename()
+		c.alt = c.appendImage(c.alt[:0])
+		c.img, c.alt = c.alt, c.img
+		rendered = true
+		if bytes.Equal(c.img, c.alt) {
+			break
+		}
+	}
+	if !rendered {
+		c.img = c.appendImage(c.img[:0])
+	}
+	return c.img
+}
+
+// numVars is Rule.NumVars over the flat form.
+func (c *Canon) numVars() int {
+	max := Var(-1)
+	for _, t := range c.terms {
+		if !t.IsConst && t.Var > max {
+			max = t.Var
+		}
+	}
+	return int(max) + 1
+}
+
+// rename renames variables to 0,1,2,... in order of first occurrence,
+// head first and then the body in its current order.
+func (c *Canon) rename() {
+	for i := range c.ren {
+		c.ren[i] = -1
 	}
 	next := Var(0)
-	visit := func(l Literal) {
-		for i, t := range l.Args {
+	visit := func(l flatLit) {
+		args := c.args(l)
+		for i, t := range args {
 			if t.IsConst {
 				continue
 			}
-			v := ren[t.Var]
+			v := c.ren[t.Var]
 			if v < 0 {
 				v = next
 				next++
-				ren[t.Var] = v
+				c.ren[t.Var] = v
 			}
-			l.Args[i].Var = v
+			args[i].Var = v
 		}
 	}
-	visit(cur.Head)
-	for _, l := range cur.Body {
+	visit(c.head)
+	for _, l := range c.body {
 		visit(l)
 	}
+}
+
+func (c *Canon) appendImage(b []byte) []byte {
+	b = c.appendLitImage(b, c.head)
+	for _, l := range c.body {
+		b = c.appendLitImage(b, l)
+	}
+	return b
+}
+
+func (c *Canon) appendLitImage(b []byte, l flatLit) []byte {
+	b = binary.AppendUvarint(b, uint64(uint32(l.rel)))
+	b = binary.AppendUvarint(b, uint64(l.n))
+	for _, t := range c.args(l) {
+		if t.IsConst {
+			b = binary.AppendUvarint(b, uint64(uint32(t.Const))<<1|1)
+		} else {
+			b = binary.AppendUvarint(b, uint64(uint32(t.Var))<<1)
+		}
+	}
+	return b
+}
+
+// AppendKey appends the rule's text key — the CanonicalKey string once
+// Canonicalize has run — to b.
+func (c *Canon) AppendKey(b []byte) []byte {
+	b = c.appendLitKey(b, c.head)
+	b = append(b, ':', '-')
+	for _, l := range c.body {
+		b = c.appendLitKey(b, l)
+	}
+	return b
+}
+
+func (c *Canon) appendLitKey(b []byte, l flatLit) []byte {
+	b = strconv.AppendInt(b, int64(l.rel), 10)
+	b = append(b, '(')
+	for _, t := range c.args(l) {
+		if t.IsConst {
+			b = append(b, 'c')
+			b = strconv.AppendInt(b, int64(t.Const), 10)
+		} else {
+			b = append(b, 'v')
+			b = strconv.AppendInt(b, int64(t.Var), 10)
+		}
+		b = append(b, ',')
+	}
+	return append(b, ')')
 }
 
 // EquivalentTo reports exact alpha-equivalence: whether some
@@ -461,33 +604,4 @@ func (r Rule) EquivalentTo(other Rule) bool {
 		delete(bwd, p[1])
 	}
 	return false
-}
-
-func ruleKey(r Rule) string {
-	return string(appendRuleKey(nil, r))
-}
-
-func appendRuleKey(b []byte, r Rule) []byte {
-	b = appendLitKey(b, r.Head)
-	b = append(b, ':', '-')
-	for _, l := range r.Body {
-		b = appendLitKey(b, l)
-	}
-	return b
-}
-
-func appendLitKey(b []byte, l Literal) []byte {
-	b = strconv.AppendInt(b, int64(l.Rel), 10)
-	b = append(b, '(')
-	for _, t := range l.Args {
-		if t.IsConst {
-			b = append(b, 'c')
-			b = strconv.AppendInt(b, int64(t.Const), 10)
-		} else {
-			b = append(b, 'v')
-			b = strconv.AppendInt(b, int64(t.Var), 10)
-		}
-		b = append(b, ',')
-	}
-	return append(b, ')')
 }

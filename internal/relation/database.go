@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -84,13 +85,20 @@ type Database struct {
 // post-freeze Insert) opens the next one.
 type Gen int32
 
-// internChunkBits sizes the interning overlay's chunks; chunks are
-// fixed-size arrays so interned tuples are never moved once published
-// and readers need no lock to dereference an id they hold.
-const (
-	internChunkBits = 10
-	internChunkSize = 1 << internChunkBits
-)
+// The interning overlay stores tuples in chunks of geometrically
+// growing size: chunk k holds internChunkMin<<k tuples, so a database
+// that interns a few dozen tuples holds a few hundred bytes of overlay
+// and one that interns n holds at most about 2n slots. Chunks are
+// never moved once published, so readers need no lock to dereference
+// an id they hold.
+const internChunkMin = 16
+
+// internChunk locates overlay offset off: chunk k starts at offset
+// internChunkMin*(2^k - 1).
+func internChunk(off int) (k, at int) {
+	k = bits.Len(uint(off/internChunkMin+1)) - 1
+	return k, off - internChunkMin*(1<<k-1)
+}
 
 // internTable assigns dense ids, continuing the Database's id space,
 // to tuples that are not inserted facts: derived output tuples and
@@ -105,7 +113,7 @@ const (
 type internTable struct {
 	mu     sync.RWMutex
 	frozen bool
-	spine  atomic.Pointer[[]*[internChunkSize]Tuple]
+	spine  atomic.Pointer[[][]Tuple]
 	count  int
 	base   int // len(db.tuples) at freeze time
 }
@@ -282,20 +290,20 @@ func (db *Database) InternTuple(t Tuple) TupleID {
 	if !added {
 		return TupleID(id) // a racing intern got there first
 	}
-	ci, off := it.count>>internChunkBits, it.count&(internChunkSize-1)
+	k, at := internChunk(it.count)
 	spine := it.spine.Load()
-	if off == 0 {
-		var old []*[internChunkSize]Tuple
+	if at == 0 {
+		var old [][]Tuple
 		if spine != nil {
 			old = *spine
 		}
-		grown := make([]*[internChunkSize]Tuple, len(old)+1)
+		grown := make([][]Tuple, len(old)+1)
 		copy(grown, old)
-		grown[len(old)] = new([internChunkSize]Tuple)
+		grown[k] = make([]Tuple, internChunkMin<<k)
 		it.spine.Store(&grown)
 		spine = &grown
 	}
-	(*spine)[ci][off] = Tuple{Rel: t.Rel, Args: append([]Const(nil), t.Args...)}
+	(*spine)[k][at] = Tuple{Rel: t.Rel, Args: append([]Const(nil), t.Args...)}
 	it.count++
 	return TupleID(id)
 }
@@ -308,9 +316,8 @@ func (db *Database) TupleByID(id TupleID) Tuple {
 	if i < len(db.tuples) {
 		return db.tuples[i]
 	}
-	off := i - db.intern.base
-	spine := db.intern.spine.Load()
-	return (*spine)[off>>internChunkBits][off&(internChunkSize-1)]
+	k, at := internChunk(i - db.intern.base)
+	return (*db.intern.spine.Load())[k][at]
 }
 
 // NumIDs reports the total number of assigned ids (inserted plus

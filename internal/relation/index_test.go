@@ -3,6 +3,7 @@ package relation
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -203,4 +204,91 @@ func TestIndexConcurrentIntern(t *testing.T) {
 			t.Fatalf("id %d resolves to %v, want %v", ids[0][i], db.TupleByID(ids[0][i]), tu)
 		}
 	}
+}
+
+// internMany interns n distinct non-fact tuples into a database holding
+// two facts and returns their ids in intern order.
+func internMany(db *Database, n int) []TupleID {
+	db.Insert(NewTuple(0, 1, 2))
+	db.Insert(NewTuple(0, 2, 3))
+	ids := make([]TupleID, n)
+	for i := range ids {
+		ids[i] = db.InternTuple(NewTuple(1, Const(i), Const(i/7)))
+	}
+	return ids
+}
+
+// TestInternChunkBoundaries interns 5000 tuples — nine geometric
+// overlay chunks — and resolves every id, in particular the first and
+// last of each chunk.
+func TestInternChunkBoundaries(t *testing.T) {
+	db := NewDatabase(NewSchema(), NewDomain())
+	const n = 5000
+	ids := internMany(db, n)
+	for i, id := range ids {
+		if want := TupleID(2 + i); id != want {
+			t.Fatalf("intern %d got id %d, want %d", i, id, want)
+		}
+		if got, want := db.TupleByID(id), NewTuple(1, Const(i), Const(i/7)); !got.Equal(want) {
+			t.Fatalf("id %d resolves to %v, want %v", id, got, want)
+		}
+	}
+	start := 0
+	for k := 0; start < n; k++ {
+		size := internChunkMin << k
+		for _, off := range []int{start, start + size - 1} {
+			if gk, at := internChunk(off); gk != k || at != off-start {
+				t.Fatalf("internChunk(%d) = %d,%d want %d,%d", off, gk, at, k, off-start)
+			}
+		}
+		start += size
+	}
+	spine := *db.intern.spine.Load()
+	slots := 0
+	for k, c := range spine {
+		if len(c) != internChunkMin<<k {
+			t.Errorf("chunk %d holds %d tuples, want %d", k, len(c), internChunkMin<<k)
+		}
+		slots += len(c)
+	}
+	if slots >= 2*n+internChunkMin {
+		t.Errorf("%d overlay slots for %d interned tuples", slots, n)
+	}
+}
+
+// TestInternResolveWhileInterning resolves published ids lock-free
+// while another goroutine keeps interning and growing the chunk spine;
+// run under -race.
+func TestInternResolveWhileInterning(t *testing.T) {
+	db := NewDatabase(NewSchema(), NewDomain())
+	db.Insert(NewTuple(0, 1, 2))
+	first := db.InternTuple(NewTuple(1, 0, 0))
+	const n = 3000
+	var published atomic.Int64
+	published.Store(1)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 1; i < n; i++ {
+			db.InternTuple(NewTuple(1, Const(i), Const(i/7)))
+			published.Store(int64(i + 1))
+		}
+	}()
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for published.Load() < n {
+				i := rng.Intn(int(published.Load()))
+				got := db.TupleByID(first + TupleID(i))
+				if want := NewTuple(1, Const(i), Const(i/7)); !got.Equal(want) {
+					t.Errorf("id %d resolves to %v, want %v", first+TupleID(i), got, want)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
 }
